@@ -25,6 +25,7 @@ from .fan import (
     build_fan,
     collection_for_stage,
     expected_primitive_relation,
+    primitive_collections,
     primitive_collections_bruteforce,
     primitive_relation,
     signed_relation,

@@ -13,6 +13,7 @@ a_{j,l}.  Exit codes: 0 command succeeded (whatever the verdict),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,9 @@ def parse_document(text: str) -> GeneralizedBottTower:
     """Parse and shape-check a JSON tower document, citing (j,l,k) paths."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal longer than the
+        # interpreter's int-string conversion limit
         raise UsageError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise UsageError("document must be a JSON object")
@@ -82,13 +85,13 @@ def parse_document(text: str) -> GeneralizedBottTower:
 
 
 def _read_input(args) -> str:
-    if args.input and args.input != "-":
-        try:
+    try:
+        if args.input and args.input != "-":
             with open(args.input) as fh:
                 return fh.read()
-        except OSError as e:
-            raise UsageError(f"cannot read {args.input}: {e}") from e
-    return sys.stdin.read()
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read {args.input}: {e}") from e
 
 
 def _label(lab) -> str:
@@ -304,10 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: building it costs more
+    than a small ``check``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .lattice import IntVec, det, kernel_primitive
+from .lattice import IntVec, bareiss, det, kernel_primitive
 from .tower import BVectors, Classification, GeneralizedBottTower, Verdict, validate
 
 RayLabel = tuple[int, int]
@@ -155,18 +154,73 @@ def validate_smooth_complete(f: Fan) -> None:
             )
 
 
-def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
-    """All minimal ray sets not contained in any maximal cone, by subset scan.
-
-    An oracle for testing: checks set inclusion against the maximal-cone
-    ray sets over subsets of increasing size.  Refuses fans with more
-    than BRUTE_FORCE_RAY_LIMIT rays.
-    """
+def _refuse_large(f: Fan) -> None:
     nrays = len(f.rays)
     if nrays > BRUTE_FORCE_RAY_LIMIT:
         raise FanError(
             f"brute-force search refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}"
         )
+
+
+def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
+    """All minimal ray sets not contained in any maximal cone, by a
+    depth-first search over the faces of the fan.
+
+    Each ray carries the bitmask of the maximal cones that contain it, so
+    a ray set is a face iff the AND of its members' masks is nonzero.  A
+    face is extended only by rays of larger index; an extension whose AND
+    is 0 is a non-face, and it is primitive iff dropping any one member
+    leaves a nonzero AND.  Uses only ``rays`` and ``max_cones``, keeps
+    O(depth) state, and refuses the same fans as
+    ``primitive_collections_bruteforce``.
+    """
+    _refuse_large(f)
+    nrays = len(f.rays)
+    ray_cones = [0] * nrays
+    for c, cone in enumerate(f.max_cones):
+        bit = 1 << c
+        for i in cone:
+            ray_cones[i] |= bit
+    members: list[int] = []
+    # prefix[d] is the AND of the masks of members[:d]
+    prefix = [(1 << len(f.max_cones)) - 1]
+    found: list[tuple[int, ...]] = []
+
+    def extend(start: int) -> None:
+        face = prefix[-1]
+        for j in range(start, nrays):
+            mask = face & ray_cones[j]
+            if mask:
+                if j + 1 < nrays:
+                    members.append(j)
+                    prefix.append(mask)
+                    extend(j + 1)
+                    members.pop()
+                    prefix.pop()
+                continue
+            # dropping members[d] leaves prefix[d] & (masks of members[d+1:]) & mask_j
+            suffix = ray_cones[j]
+            for d in range(len(members) - 1, -1, -1):
+                if not prefix[d] & suffix:
+                    break
+                suffix &= ray_cones[members[d]]
+            else:
+                found.append((*members, j))
+
+    extend(0)
+    return {f.to_labels(idx) for idx in found}
+
+
+def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
+    """All minimal ray sets not contained in any maximal cone, by subset scan.
+
+    The reference for ``primitive_collections`` in the tests: checks set
+    inclusion against the maximal-cone ray sets over subsets of
+    increasing size.  Refuses fans with more than BRUTE_FORCE_RAY_LIMIT
+    rays.
+    """
+    _refuse_large(f)
+    nrays = len(f.rays)
     cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
     full = (1 << nrays) - 1
     found: list[tuple[int, frozenset[int]]] = []
@@ -184,26 +238,28 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     return {f.to_labels(idx) for _, idx in found}
 
 
-def _solve_square(cols: list[IntVec], target: IntVec) -> list[Fraction] | None:
-    """Solve sum_j x_j * cols[j] = target exactly; None if singular."""
+def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int] | None:
+    """Integer x with sum_j x_j * cols[j] = target, or None once some x_j
+    is found negative.
+
+    Bareiss elimination of [cols | target] followed by exact integer
+    back-substitution from the last coordinate; a nonzero remainder means
+    the cone is not unimodular.
+    """
     n = len(target)
-    aug = [
-        [Fraction(cols[j][i]) for j in range(n)] + [Fraction(target[i])]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
+    a = [[col[i] for col in cols] + [target[i]] for i in range(n)]
+    if not bareiss(a):
+        raise FanError("singular maximal cone encountered")
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        q, r = divmod(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+        if r:
+            raise FanError("non-integral relation coefficient in a smooth fan")
+        if q < 0:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        x[i] = q
+    return x
 
 
 def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionData:
@@ -212,7 +268,9 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     Sums the member rays, locates the unique cone containing the sum in
     its relative interior (first maximal cone, in lexicographic order,
     with all coordinates >= 0), and reads off the strictly positive
-    coordinates as the relation coefficients.
+    coordinates as the relation coefficients.  Each cone is solved in
+    integers, so a singular or non-unimodular cone met on the way raises
+    FanError.
     """
     members = frozenset(p)
     if f.is_face(members):
@@ -228,16 +286,9 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
         return PrimitiveCollectionData(members=members, relation_rhs={}, degree=len(members))
     for cone in f.max_cones:
         idx = sorted(cone)
-        coords = _solve_square([f.rays[i] for i in idx], target)
-        if coords is None:
-            raise FanError("singular maximal cone encountered")
-        if all(c >= 0 for c in coords):
-            rhs: dict[RayLabel, int] = {}
-            for i, c in zip(idx, coords):
-                if c > 0:
-                    if c.denominator != 1:
-                        raise FanError("non-integral relation coefficient in a smooth fan")
-                    rhs[f.labels[i]] = int(c)
+        coords = _cone_coordinates([f.rays[i] for i in idx], target)
+        if coords is not None:
+            rhs = {f.labels[i]: c for i, c in zip(idx, coords) if c > 0}
             return PrimitiveCollectionData(
                 members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
             )
@@ -248,7 +299,7 @@ def batyrev_classify(f: Fan) -> Classification:
     """Fano iff every primitive-collection degree is positive; weak Fano
     iff every degree is nonnegative."""
     degrees: dict[frozenset[RayLabel], int] = {}
-    for pc in primitive_collections_bruteforce(f):
+    for pc in primitive_collections(f):
         degrees[pc] = primitive_relation(f, pc).degree
     if all(d > 0 for d in degrees.values()):
         verdict = Verdict.FANO

@@ -95,6 +95,35 @@ class TestCheck:
     def test_usage_error_exit_code(self, capsys):
         assert main(["check", "--no-such-flag"]) == 1
 
+    def test_huge_integer_literal_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text("[[[" + "9" * 5000 + "]]]")
+        code, out, err = run(capsys, "check", "--input", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_undecodable_input_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "check", "--input", str(bad))
+        assert code == 1
+        assert err.startswith("error: cannot read")
+
+    def test_verify_refuses_more_than_24_rays(self, capsys, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"stages": [12, 12], "coefficients": [[[0] * 12]]}))
+        code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
+        assert code == 2
+        assert "refused: 26 rays > limit 24" in err
+
+    def test_repeated_calls_do_not_share_options(self, capsys):
+        path = str(FIXTURES / "hirzebruch_a1.json")
+        _, first, _ = run_machine(capsys, "check", "--verify", "--input", path)
+        _, second, _ = run_machine(capsys, "check", "--input", path)
+        assert first["verified"] is True
+        assert "verified" not in second
+
 
 class TestFan:
     def test_hirzebruch_rays(self, capsys):

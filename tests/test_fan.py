@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from bottfano import (
+    Fan,
     FanError,
     Verdict,
     batyrev_classify,
@@ -11,6 +12,7 @@ from bottfano import (
     collection_for_stage,
     compute_b,
     expected_primitive_relation,
+    primitive_collections,
     primitive_collections_bruteforce,
     primitive_relation,
     signed_relation,
@@ -20,6 +22,23 @@ from bottfano import (
 from bottfano.lattice import det
 
 from conftest import fano_4stage, hirzebruch, make_tower, not_weak_fano_3stage, random_tower
+
+
+def hand_fan(rays, cones) -> Fan:
+    """A 2-D fan with no tower behind it: ray i is labelled (0, i)."""
+    return Fan(
+        dim=2,
+        stage_dims=(),
+        rays=tuple(rays),
+        labels=tuple((0, i) for i in range(len(rays))),
+        max_cones=tuple(frozenset(c) for c in cones),
+    )
+
+
+def pentagon_fan() -> Fan:
+    """P^2 blown up in two points: five rays, cones between neighbours."""
+    return hand_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+                    [(i, (i + 1) % 5) for i in range(5)])
 
 
 class TestBuildFan:
@@ -104,6 +123,34 @@ class TestPrimitiveCollections:
         with pytest.raises(FanError, match="refused"):
             primitive_collections_bruteforce(build_fan(t))
 
+    def test_search_refuses_the_same_fans(self):
+        t = make_tower((12, 12), {(2, 1): (0,) * 12})
+        f = build_fan(t)
+        with pytest.raises(FanError, match="refused: 26 rays > limit 24"):
+            primitive_collections(f)
+        with pytest.raises(FanError, match="refused: 26 rays > limit 24"):
+            primitive_collections_bruteforce(f)
+
+    def test_non_tower_fan_collections_are_the_non_adjacent_pairs(self):
+        f = pentagon_fan()
+        validate_smooth_complete(f)
+        expected = {frozenset({(0, i), (0, (i + 2) % 5)}) for i in range(5)}
+        assert len(expected) == 5
+        assert primitive_collections(f) == expected
+        assert primitive_collections_bruteforce(f) == expected
+
+    def test_non_tower_fan_degrees(self):
+        c = batyrev_classify(pentagon_fan())
+        assert c.verdict is Verdict.FANO
+        assert sorted(c.degrees.values()) == [1, 1, 1, 2, 2]
+
+    def test_ray_in_no_cone_is_a_collection(self):
+        f = hand_fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
+        assert primitive_collections(f) == primitive_collections_bruteforce(f) == {
+            frozenset({(0, 3)}),
+            frozenset({(0, 0), (0, 1), (0, 2)}),
+        }
+
 
 class TestPrimitiveRelation:
     def test_last_stage_sum_is_zero(self):
@@ -130,6 +177,28 @@ class TestPrimitiveRelation:
         f = build_fan(hirzebruch(0))
         with pytest.raises(FanError, match="not a primitive collection"):
             primitive_relation(f, frozenset({(1, 1), (2, 1)}))
+
+    def test_coefficients_are_ints(self, rng):
+        for _ in range(30):
+            t = random_tower(rng)
+            f = build_fan(t)
+            for p in range(1, t.num_stages + 1):
+                pr = primitive_relation(f, collection_for_stage(t, p))
+                assert all(type(c) is int for c in pr.relation_rhs.values())
+                assert type(pr.degree) is int
+
+    def test_cone_of_determinant_two(self):
+        # the cone {(1,0), (1,2)} comes first and holds (1,1) = (1/2)(1,0) + (1/2)(1,2)
+        f = hand_fan([(1, 0), (1, 2), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert det([f.rays[0], f.rays[1]]) == 2
+        with pytest.raises(FanError, match="non-integral|singular"):
+            primitive_relation(f, frozenset({(0, 1), (0, 3)}))
+
+    def test_singular_cone(self):
+        f = hand_fan([(1, 0), (-1, 0), (0, 1), (1, -1)],
+                     [(0, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
+        with pytest.raises(FanError, match="singular"):
+            primitive_relation(f, frozenset({(0, 2), (0, 3)}))
 
     def test_rejects_non_minimal_set(self):
         f = build_fan(hirzebruch(0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottfano.lattice import LatticeError, det, kernel_primitive, mu, nu
+from bottfano.lattice import LatticeError, bareiss, det, kernel_primitive, mu, nu
 
 ints = st.integers(min_value=-50, max_value=50)
 vectors = st.lists(ints, min_size=1, max_size=6).map(tuple)
@@ -87,6 +87,32 @@ class TestDet:
         for _ in range(50):
             m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
             assert det(m) == cofactor_det(m)
+
+    def test_matches_leibniz_on_sparse_matrices(self):
+        # zero entries below the pivot take the row-skipping path
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+            assert det(m) == cofactor_det(m)
+
+
+class TestBareiss:
+    def test_augmented_column_keeps_the_solution(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            x = [rng.randint(-5, 5) for _ in range(n)]
+            a = [row + [sum(c * e for c, e in zip(row, x))] for row in m]
+            sign = bareiss(a)
+            if not sign:
+                assert det(m) == 0
+                continue
+            assert sign * a[n - 1][n - 1] == det(m)
+            for i, row in enumerate(a):
+                assert all(e == 0 for e in row[:i])
+                assert sum(c * e for c, e in zip(row[:n], x)) == row[n]
 
 
 class TestKernelPrimitive:
