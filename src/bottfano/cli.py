@@ -133,6 +133,7 @@ def cmd_check(args) -> int:
         lines.append(f"  b[{p},{q}] = {list(vec)}")
     if args.verify:
         f = fanmod.build_fan(t)
+        fanmod.check_ray_limit(f)
         fanmod.validate_smooth_complete(f)
         oracle = fanmod.batyrev_classify(f)
         report["verified"] = oracle.verdict is cls.verdict
@@ -149,9 +150,8 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_fan(args, relations_only: bool = False) -> int:
+def cmd_fan(args) -> int:
     t = parse_document(_read_input(args))
-    relations_only = relations_only or getattr(args, "relations_only", False)
     f = fanmod.build_fan(t)
     fanmod.validate_smooth_complete(f)
     bv = towermod.compute_b(t)
@@ -164,7 +164,7 @@ def cmd_fan(args, relations_only: bool = False) -> int:
         "relations": [_relation_to_json(pr) for pr in relations],
     }
     lines = []
-    if not relations_only:
+    if not args.relations_only:
         report["rays"] = [[list(lab), list(vec)] for lab, vec in zip(f.labels, f.rays)]
         report["max_cones"] = [sorted(cone) for cone in f.max_cones]
         lines.append(f"rays ({len(f.rays)}):")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rel = sub.add_parser("relations", help="print primitive relations only")
     add_io(p_rel)
-    p_rel.set_defaults(func=lambda args: cmd_fan(args, relations_only=True))
+    p_rel.set_defaults(func=cmd_fan, relations_only=True)
 
     p_enum = sub.add_parser("enumerate", help="sweep coefficient ranges exhaustively")
     p_enum.add_argument("--stages", required=True, help="comma-separated n_1,...,n_m")

@@ -1,9 +1,9 @@
 """Exhaustive sweeps over coefficient ranges.
 
 Candidates are enumerated lexicographically over the coefficient slots
-(j, l, k) in ascending order and classified through the closed-form
-criterion; hits are recorded in enumeration order as tuples of slot
-values.
+(j, l, k) in ascending order by one engine, shared by ``sweep`` and
+``chary_compare``, and classified through the closed-form criterion;
+hits are recorded in enumeration order as tuples of slot values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .tower import (
     Verdict,
     chary_condition,
     classify,
-    from_bott_matrix,
 )
 
 DEFAULT_CAP = 10**6
@@ -93,57 +92,58 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _check_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise SweepError(f"{count} candidates exceed cap {cap}; raise --cap to proceed")
-
-
-def sweep(s: SweepSpec) -> SweepReport:
-    slots = coefficient_slots(s.stage_dims)
-    lo, hi = s.coeff_range
-    width = hi - lo + 1
-    total = width ** len(slots)
-    _check_cap(total, s.cap)
-
-    counts = {v.value: 0 for v in Verdict}
-    hits: list[tuple[int, ...]] = []
+def _candidates(stage_dims, lo: int, hi: int, cap: int):
+    """Yield (values, tower) for every tower on ``stage_dims`` with
+    coefficients in lo..hi, values in ``coefficient_slots`` order and
+    lexicographically; refuse more than ``cap`` candidates up front."""
+    slots = coefficient_slots(stage_dims)
+    total = (hi - lo + 1) ** len(slots)
+    if total > cap:
+        raise SweepError(f"{total} candidates exceed cap {cap}; raise --cap to proceed")
     for values in product(range(lo, hi + 1), repeat=len(slots)):
         coeffs: dict[tuple[int, int], list[int]] = {}
         for (j, l, k), v in zip(slots, values):
-            coeffs.setdefault((j, l), [0] * s.stage_dims[j - 1])[k - 1] = v
-        t = GeneralizedBottTower(s.stage_dims, {jl: tuple(v) for jl, v in coeffs.items()})
+            coeffs.setdefault((j, l), [0] * stage_dims[j - 1])[k - 1] = v
+        yield values, GeneralizedBottTower(stage_dims, {jl: tuple(v) for jl, v in coeffs.items()})
+
+
+def sweep(s: SweepSpec) -> SweepReport:
+    counts = {v.value: 0 for v in Verdict}
+    hits: list[tuple[int, ...]] = []
+    for values, t in _candidates(s.stage_dims, *s.coeff_range, s.cap):
         verdict = classify(t).verdict
         counts[verdict.value] += 1
         if s.mode == "fano" and verdict is Verdict.FANO:
             hits.append(values)
         elif s.mode == "weak_fano" and verdict is not Verdict.NOT_WEAK_FANO:
             hits.append(values)
-    return SweepReport(total=total, slots=slots, hits=hits, counts=counts)
+    return SweepReport(sum(counts.values()), coefficient_slots(s.stage_dims), hits, counts)
 
 
 def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -> CharyCompareReport:
     """Compare Chary's sign condition against the Fano verdict over all
     upper triangular unit-diagonal matrices with off-diagonal entries in
-    the given range."""
+    the given range; it runs the sweep engine on stages (1,)*r over the
+    negated range, as beta_{l,j} = -a_{j,l}, and sorts both lists back
+    into row-major lexicographic order of the off-diagonal entries."""
     if r < 2:
         raise SweepError("chary_compare requires r >= 2")
     lo, hi = beta_range
     if lo > hi:
         raise SweepError(f"empty beta range {lo}:{hi}")
-    slots = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    total = (hi - lo + 1) ** len(slots)
-    _check_cap(total, cap)
-
-    report = CharyCompareReport(total=total)
-    for values in product(range(lo, hi + 1), repeat=len(slots)):
+    report = CharyCompareReport(total=0)
+    for _, t in _candidates((1,) * r, -hi, -lo, cap):
         beta = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        for (i, j), v in zip(slots, values):
-            beta[i - 1][j - 1] = v
-        bm = BottMatrix(tuple(tuple(row) for row in beta))
-        chary = chary_condition(bm)
-        fano = classify(from_bott_matrix(bm)).verdict is Verdict.FANO
+        for (j, l), (a,) in t.coeffs.items():
+            beta[l - 1][j - 1] = -a
+        values = tuple(v for i, row in enumerate(beta) for v in row[i + 1:])
+        chary = chary_condition(BottMatrix(tuple(map(tuple, beta))))
+        fano = classify(t).verdict is Verdict.FANO
+        report.total += 1
         if chary and not fano:
             report.chary_not_fano.append(values)
         if fano and not chary:
             report.fano_not_chary.append(values)
+    report.chary_not_fano.sort()
+    report.fano_not_chary.sort()
     return report

@@ -154,11 +154,13 @@ def validate_smooth_complete(f: Fan) -> None:
             )
 
 
-def _refuse_large(f: Fan) -> None:
+def check_ray_limit(f: Fan) -> None:
+    """Refuse fans with more than BRUTE_FORCE_RAY_LIMIT rays, the limit of
+    both primitive-collection searches."""
     nrays = len(f.rays)
     if nrays > BRUTE_FORCE_RAY_LIMIT:
         raise FanError(
-            f"brute-force search refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}"
+            f"primitive-collection search refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}"
         )
 
 
@@ -174,7 +176,7 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     O(depth) state, and refuses the same fans as
     ``primitive_collections_bruteforce``.
     """
-    _refuse_large(f)
+    check_ray_limit(f)
     nrays = len(f.rays)
     ray_cones = [0] * nrays
     for c, cone in enumerate(f.max_cones):
@@ -219,7 +221,7 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     increasing size.  Refuses fans with more than BRUTE_FORCE_RAY_LIMIT
     rays.
     """
-    _refuse_large(f)
+    check_ray_limit(f)
     nrays = len(f.rays)
     cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
     full = (1 << nrays) - 1

@@ -117,6 +117,18 @@ class TestCheck:
         assert code == 2
         assert "refused: 26 rays > limit 24" in err
 
+    def test_verify_refuses_large_fan_before_validating(self, capsys, tmp_path, monkeypatch):
+        def fail(f):
+            raise AssertionError("validate_smooth_complete ran on a refused fan")
+
+        monkeypatch.setattr("bottfano.fan.validate_smooth_complete", fail)
+        zeros = [[[0] * 5] * (j - 1) for j in range(2, 6)]
+        doc = tmp_path / "five_fives.json"
+        doc.write_text(json.dumps({"stages": [5] * 5, "coefficients": zeros}))
+        code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
+        assert code == 2
+        assert "primitive-collection search refused: 30 rays > limit 24" in err
+
     def test_repeated_calls_do_not_share_options(self, capsys):
         path = str(FIXTURES / "hirzebruch_a1.json")
         _, first, _ = run_machine(capsys, "check", "--verify", "--input", path)

@@ -1,12 +1,24 @@
+from itertools import product
+
 import pytest
 
+from bottfano import enumeration
 from bottfano.enumeration import (
     FANO_THREE_STAGE_TRIPLES,
+    SWEEP_MODES,
     SweepError,
     SweepSpec,
     chary_compare,
     coefficient_slots,
     sweep,
+)
+from bottfano.tower import (
+    BottMatrix,
+    GeneralizedBottTower,
+    Verdict,
+    chary_condition,
+    classify,
+    from_bott_matrix,
 )
 
 
@@ -90,3 +102,65 @@ class TestCharyCompare:
     def test_cap(self):
         with pytest.raises(SweepError, match="exceed cap"):
             chary_compare(4, (-2, 2), cap=100)
+
+
+def reference_sweep(stage_dims, lo, hi, mode):
+    """The original sweep loop, kept as the oracle for the shared engine."""
+    slots = coefficient_slots(stage_dims)
+    counts = {v.value: 0 for v in Verdict}
+    hits = []
+    for values in product(range(lo, hi + 1), repeat=len(slots)):
+        coeffs = {}
+        for (j, l, k), v in zip(slots, values):
+            coeffs.setdefault((j, l), [0] * stage_dims[j - 1])[k - 1] = v
+        t = GeneralizedBottTower(stage_dims, {jl: tuple(v) for jl, v in coeffs.items()})
+        verdict = classify(t).verdict
+        counts[verdict.value] += 1
+        if mode == "fano" and verdict is Verdict.FANO:
+            hits.append(values)
+        elif mode == "weak_fano" and verdict is not Verdict.NOT_WEAK_FANO:
+            hits.append(values)
+    return (hi - lo + 1) ** len(slots), slots, hits, counts
+
+
+def reference_chary_compare(r, lo, hi):
+    """The original Chary loop over row-major off-diagonal beta entries."""
+    slots = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    chary_not_fano, fano_not_chary = [], []
+    for values in product(range(lo, hi + 1), repeat=len(slots)):
+        beta = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        for (i, j), v in zip(slots, values):
+            beta[i - 1][j - 1] = v
+        bm = BottMatrix(tuple(tuple(row) for row in beta))
+        chary = chary_condition(bm)
+        fano = classify(from_bott_matrix(bm)).verdict is Verdict.FANO
+        if chary and not fano:
+            chary_not_fano.append(values)
+        if fano and not chary:
+            fano_not_chary.append(values)
+    return (hi - lo + 1) ** len(slots), chary_not_fano, fano_not_chary
+
+
+class TestEngineMatchesReferenceLoops:
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_sweep(self, mode):
+        report = sweep(SweepSpec((1, 2, 1), (-1, 1), mode=mode))
+        expected = reference_sweep((1, 2, 1), -1, 1, mode)
+        assert (report.total, report.slots, report.hits, report.counts) == expected
+
+    @pytest.mark.parametrize("r, lo, hi", [(3, -2, 1), (4, -1, 1)])
+    def test_chary_compare(self, r, lo, hi):
+        report = chary_compare(r, (lo, hi))
+        expected = reference_chary_compare(r, lo, hi)
+        assert (report.total, report.chary_not_fano, report.fano_not_chary) == expected
+        assert report.fano_not_chary  # an empty list would pin no sign or order
+
+    def test_cap_refused_before_any_candidate(self, monkeypatch):
+        def fail(t):
+            raise AssertionError("classify called past the cap")
+
+        monkeypatch.setattr(enumeration, "classify", fail)
+        with pytest.raises(SweepError, match="81 candidates exceed cap 80"):
+            sweep(SweepSpec((1, 2, 1), (-1, 1), cap=80))
+        with pytest.raises(SweepError, match="729 candidates exceed cap 728"):
+            chary_compare(4, (-1, 1), cap=728)
