@@ -1,6 +1,6 @@
 """Exact Fano / weak Fano classification of generalized Bott manifolds."""
 
-from .lattice import IntVec, LatticeError, det, kernel_primitive, mu, nu
+from .lattice import IntVec, LatticeError, det, mu, nu
 from .tower import (
     BottMatrix,
     BVectors,

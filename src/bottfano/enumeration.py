@@ -21,6 +21,10 @@ from .tower import (
 
 DEFAULT_CAP = 10**6
 
+#: Candidate counts longer than this (about 3,000 digits) are shown as
+#: width^slots, since ``str`` refuses ints past 4,300 digits.
+PRINTABLE_BITS = 10_000
+
 #: Coefficient triples (a_{2,1}, a_{3,1}, a_{3,2}) of the Fano 3-stage
 #: Bott manifolds; the `fano` sweep over stages (1,1,1) must reproduce
 #: exactly this set.
@@ -96,10 +100,18 @@ def _candidates(stage_dims, lo: int, hi: int, cap: int):
     """Yield (values, tower) for every tower on ``stage_dims`` with
     coefficients in lo..hi, values in ``coefficient_slots`` order and
     lexicographically; refuse more than ``cap`` candidates up front."""
-    slots = coefficient_slots(stage_dims)
-    total = (hi - lo + 1) ** len(slots)
+    width = hi - lo + 1
+    nslots = sum((j - 1) * n for j, n in enumerate(stage_dims, start=1))
+    # the count width ** nslots is at least 2 ** min_bits, so past both the
+    # cap and the printable length it is refused without being computed
+    min_bits = nslots * (width.bit_length() - 1)
+    if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
+        raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
+    total = width ** nslots
     if total > cap:
-        raise SweepError(f"{total} candidates exceed cap {cap}; raise --cap to proceed")
+        shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
+        raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
+    slots = coefficient_slots(stage_dims)
     for values in product(range(lo, hi + 1), repeat=len(slots)):
         coeffs: dict[tuple[int, int], list[int]] = {}
         for (j, l, k), v in zip(slots, values):

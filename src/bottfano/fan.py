@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
-from .lattice import IntVec, bareiss, det, kernel_primitive
+from .lattice import IntVec, bareiss, det
 from .tower import BVectors, Classification, GeneralizedBottTower, Verdict, validate
 
 RayLabel = tuple[int, int]
@@ -39,7 +39,6 @@ class Fan:
     """
 
     dim: int
-    stage_dims: tuple[int, ...]
     rays: tuple[IntVec, ...]
     labels: tuple[RayLabel, ...]
     max_cones: tuple[frozenset[int], ...]
@@ -117,7 +116,6 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
         max_cones.append(all_indices - omitted)
     return Fan(
         dim=n,
-        stage_dims=dims,
         rays=tuple(rays),
         labels=tuple(labels),
         max_cones=tuple(max_cones),
@@ -240,9 +238,8 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     return {f.to_labels(idx) for _, idx in found}
 
 
-def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int] | None:
-    """Integer x with sum_j x_j * cols[j] = target, or None once some x_j
-    is found negative.
+def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int]:
+    """Integer x with sum_j x_j * cols[j] = target.
 
     Bareiss elimination of [cols | target] followed by exact integer
     back-substitution from the last coordinate; a nonzero remainder means
@@ -255,12 +252,9 @@ def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int] | None:
     x = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
-        q, r = divmod(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+        x[i], r = divmod(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
         if r:
             raise FanError("non-integral relation coefficient in a smooth fan")
-        if q < 0:
-            return None
-        x[i] = q
     return x
 
 
@@ -289,7 +283,7 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     for cone in f.max_cones:
         idx = sorted(cone)
         coords = _cone_coordinates([f.rays[i] for i in idx], target)
-        if coords is not None:
+        if min(coords) >= 0:
             rhs = {f.labels[i]: c for i, c in zip(idx, coords) if c > 0}
             return PrimitiveCollectionData(
                 members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
@@ -359,9 +353,12 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     """Wall relation for the distinguished (n-1)-cone tau_p.
 
     tau_p consists of u_l^k (l < p, k >= 1), u_p^1 ... u_p^{n_p - 1} and,
-    for each q, every u_{p+q}^k with k != i_{p,q}.  The relation among
-    the n+1 rays of its two adjacent maximal cones is normalized so that
-    the coefficient of u_p^0 is positive.
+    for each q, every u_{p+q}^k with k != i_{p,q}.  The ray of the second
+    adjacent maximal cone that is not in the first is solved in the first
+    cone's basis, as in ``primitive_relation``; the relation is +1 on that
+    ray and minus its coordinates on the first cone's rays, times the sign
+    that makes the coefficient of u_p^0 positive.  It is checked to sum
+    to zero before it is returned.
     """
     m = t.num_stages
     if not 1 <= p <= m:
@@ -381,13 +378,22 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     adjacent = [cone for cone in f.max_cones if wall_idx <= cone]
     if len(adjacent) != 2:
         raise FanError(f"tau_{p} lies in {len(adjacent)} maximal cones, expected 2")
-    around = sorted(adjacent[0] | adjacent[1])
-    matrix = [[f.rays[i][row] for i in around] for row in range(f.dim)]
-    v = kernel_primitive(matrix)
-    pos = around.index(f.index[(p, 0)])
-    if v[pos] < 0:
-        v = tuple(-e for e in v)
-    elif v[pos] == 0:
+    extra = adjacent[1] - adjacent[0]
+    if len(extra) != 1:
+        raise FanError(f"the cones at tau_{p} differ by {len(extra)} rays, expected 1")
+    (j,) = extra
+    basis = sorted(adjacent[0])
+    coords = _cone_coordinates([f.rays[i] for i in basis], f.rays[j])
+    coeffs = {i: -x for i, x in zip(basis, coords)}
+    coeffs[j] = 1
+    total = [0] * f.dim
+    for i, c in coeffs.items():
+        total = [s + c * e for s, e in zip(total, f.rays[i])]
+    if any(total):
+        raise FanError(f"internal error: wall relation for tau_{p} does not sum to zero")
+    c0 = coeffs.get(f.index[(p, 0)], 0)
+    if c0 == 0:
         raise FanError(f"wall relation for tau_{p} has zero coefficient on u[{p},0]")
-    relation = {f.labels[i]: c for i, c in zip(around, v) if c != 0}
+    sign = 1 if c0 > 0 else -1
+    relation = {f.labels[i]: sign * c for i, c in coeffs.items() if c != 0}
     return WallData(wall=frozenset(wall), relation=relation)

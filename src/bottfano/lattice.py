@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: vectors, determinants, integer kernels.
+"""Exact integer linear algebra: vectors, Bareiss elimination, determinants.
 
 Vectors are tuples of Python ints and matrices are sequences of
 equal-length integer rows.  Python ints are arbitrary precision, so all
@@ -7,7 +7,6 @@ arithmetic here is exact and overflow-free.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -78,35 +77,3 @@ def det(m: IntMat) -> int:
     a = [list(row) for row in m]
     sign = bareiss(a)
     return sign * a[n - 1][n - 1] if sign else 0
-
-
-def kernel_primitive(m: IntMat) -> IntVec:
-    """Primitive integer kernel vector of an n x (n+1) matrix of rank n.
-
-    The columns of ``m`` are n+1 vectors in Z^n with a one-dimensional
-    space of linear relations; returns the gcd-reduced relation with the
-    first nonzero entry positive.
-    """
-    n = len(m)
-    if n == 0 or any(len(row) != n + 1 for row in m):
-        raise LatticeError("kernel_primitive: expected n rows of length n+1")
-    v = []
-    sign = 1
-    for i in range(n + 1):
-        sub = [list(row[:i]) + list(row[i + 1:]) for row in m]
-        v.append(sign * det(sub))
-        sign = -sign
-    if all(e == 0 for e in v):
-        raise LatticeError("kernel_primitive: matrix has rank < n")
-    g = 0
-    for e in v:
-        g = gcd(g, e)
-    v = [e // g for e in v]
-    first = next(e for e in v if e != 0)
-    if first < 0:
-        v = [-e for e in v]
-    # sanity: m . v == 0 exactly
-    for row in m:
-        if sum(r * e for r, e in zip(row, v)) != 0:
-            raise LatticeError("kernel_primitive: internal error, m.v != 0")
-    return tuple(v)

@@ -208,7 +208,13 @@ class TestEnumerate:
             "--cap", "10",
         )
         assert code == 2
-        assert "exceed cap" in err
+        assert err == "error: 15625 candidates exceed cap 10; raise --cap to proceed\n"
+
+    def test_cap_message_on_an_unprintable_count(self, capsys):
+        # 3^9999 has 4,771 digits, past the int-to-str limit
+        code, _, err = run(capsys, "enumerate", "--stages", "9999,9999", "--range=-1:1")
+        assert code == 2
+        assert err == "error: 3^9999 candidates exceed cap 1000000; raise --cap to proceed\n"
 
 
 class TestCharyCompare:
@@ -217,3 +223,9 @@ class TestCharyCompare:
         assert code == 0
         assert report["chary_not_fano"] == []
         assert [1, 1, 1] in report["fano_not_chary"]
+
+    def test_cap_message_on_an_unprintable_count(self, capsys):
+        # r = 200 has 19,900 slots; the count is refused without being computed
+        code, _, err = run(capsys, "chary-compare", "--r", "200", "--range=-1:1")
+        assert code == 2
+        assert err == "error: 3^19900 candidates exceed cap 1000000; raise --cap to proceed\n"

@@ -28,7 +28,6 @@ def hand_fan(rays, cones) -> Fan:
     """A 2-D fan with no tower behind it: ray i is labelled (0, i)."""
     return Fan(
         dim=2,
-        stage_dims=(),
         rays=tuple(rays),
         labels=tuple((0, i) for i in range(len(rays))),
         max_cones=tuple(frozenset(c) for c in cones),
@@ -280,7 +279,7 @@ class TestBatyrevClassify:
 
 
 class TestWallRelation:
-    @pytest.mark.parametrize("a", [0, 1, 3])
+    @pytest.mark.parametrize("a", [-3, -1, 0, 1, 2, 3])
     def test_hirzebruch(self, a):
         t = hirzebruch(a)
         f = build_fan(t)
@@ -290,12 +289,46 @@ class TestWallRelation:
             expected[(2, 1) if a > 0 else (2, 0)] = -abs(a)
         assert wd.relation == expected
 
-    def test_projective_space(self):
-        t = make_tower((3,))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_projective_space(self, n):
+        t = make_tower((n,))
         f = build_fan(t)
         wd = wall_relation(f, t, compute_b(t), 1)
-        assert wd.relation == {(1, k): 1 for k in range(4)}
-        assert len(wd.wall) == 2
+        assert wd.relation == {(1, k): 1 for k in range(n + 1)}
+        assert len(wd.wall) == n - 1
+
+    def test_relations_sum_to_zero_with_unit_ends(self, rng):
+        for _ in range(40):
+            t = random_tower(rng)
+            f = build_fan(t)
+            bv = compute_b(t)
+            for p in range(1, t.num_stages + 1):
+                wd = wall_relation(f, t, bv, p)
+                total = [0] * f.dim
+                for lab, c in wd.relation.items():
+                    total = [x + c * y for x, y in zip(total, f.ray(lab))]
+                assert all(e == 0 for e in total)
+                wall_idx = {f.index[lab] for lab in wd.wall}
+                around = set().union(*(c for c in f.max_cones if wall_idx <= c))
+                ends = f.to_labels(around - wall_idx)
+                assert len(ends) == 2
+                assert all(wd.relation.get(lab) in (1, -1) for lab in ends)
+
+    def test_doubled_ray_raises(self):
+        # tau_1 = {u_1^1}; its first adjacent cone {u_1^1, u_1^2} becomes singular
+        t = make_tower((2,))
+        f = build_fan(t)
+        rays = list(f.rays)
+        rays[f.index[(1, 2)]] = f.ray((1, 1))
+        with pytest.raises(FanError, match="singular"):
+            wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
+
+    def test_cones_not_differing_by_one_ray_raise(self):
+        t = make_tower((2,))
+        f = build_fan(t)
+        cones = (frozenset(range(3)),) + f.max_cones[1:]
+        with pytest.raises(FanError, match="differ by 0 rays"):
+            wall_relation(replace(f, max_cones=cones), t, compute_b(t), 1)
 
     def test_coincides_with_primitive_relation(self, rng):
         for _ in range(40):

@@ -1,12 +1,11 @@
 import random
 from itertools import permutations
-from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottfano.lattice import LatticeError, bareiss, det, kernel_primitive, mu, nu
+from bottfano.lattice import LatticeError, bareiss, det, mu, nu
 
 ints = st.integers(min_value=-50, max_value=50)
 vectors = st.lists(ints, min_size=1, max_size=6).map(tuple)
@@ -114,42 +113,3 @@ class TestBareiss:
                 assert all(e == 0 for e in row[:i])
                 assert sum(c * e for c, e in zip(row[:n], x)) == row[n]
 
-
-class TestKernelPrimitive:
-    def test_projective_plane_relation(self):
-        assert kernel_primitive([(1, 0, -1), (0, 1, -1)]) == (1, 1, 1)
-
-    @pytest.mark.parametrize("a", [-3, -1, 0, 2])
-    def test_hirzebruch_relation(self, a):
-        assert kernel_primitive([(1, 0, -1), (0, 1, a)]) == (1, -a, 1)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_simplex_relation(self, n):
-        rows = [[1 if i == j else 0 for j in range(n)] + [-1] for i in range(n)]
-        assert kernel_primitive(rows) == (1,) * (n + 1)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(LatticeError):
-            kernel_primitive([(1, 2, 3), (2, 4, 6)])
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(LatticeError):
-            kernel_primitive([(1, 0), (0, 1)])
-
-    def test_random_kernels_are_exact_and_primitive(self):
-        rng = random.Random(13)
-        produced = 0
-        while produced < 200:
-            n = rng.randint(1, 4)
-            m = [tuple(rng.randint(-5, 5) for _ in range(n + 1)) for _ in range(n)]
-            try:
-                v = kernel_primitive(m)
-            except LatticeError:
-                continue
-            produced += 1
-            assert all(sum(r * e for r, e in zip(row, v)) == 0 for row in m)
-            g = 0
-            for e in v:
-                g = gcd(g, e)
-            assert g == 1
-            assert next(e for e in v if e) > 0
