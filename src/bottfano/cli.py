@@ -73,15 +73,8 @@ def parse_document(text: str) -> GeneralizedBottTower:
                 raise TowerError(
                     f"coefficients[j={j}][l={l}] must be an array of n_{j}={stages[j - 1]} integers"
                 )
-            for k, c in enumerate(vec, start=1):
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TowerError(
-                        f"coefficients[j={j}][l={l}][k={k}] must be an integer, got {c!r}"
-                    )
-            coeffs[(j, l)] = tuple(vec)
-    t = GeneralizedBottTower(tuple(stages), coeffs)
-    towermod.validate(t)
-    return t
+            coeffs[(j, l)] = vec
+    return GeneralizedBottTower(tuple(stages), coeffs)
 
 
 def _read_input(args) -> str:
@@ -116,24 +109,24 @@ def _emit(report: dict, args, human_lines) -> None:
 
 def cmd_check(args) -> int:
     t = parse_document(_read_input(args))
-    bv = towermod.compute_b(t)
     cls = towermod.classify(t)
+    b = cls.b_vectors.b
     report = {
         "command": "check",
         "stages": list(t.stage_dims),
         "verdict": cls.verdict.value,
         "nu_sums": list(cls.nu_sums),
         "thresholds": [list(pair) for pair in cls.thresholds],
-        "b_vectors": {f"{p},{q}": list(vec) for (p, q), vec in sorted(bv.b.items())},
+        "b_vectors": {f"{p},{q}": list(vec) for (p, q), vec in sorted(b.items())},
     }
     lines = [f"verdict: {cls.verdict.value}"]
     for p, (s, (lo, hi)) in enumerate(zip(cls.nu_sums, cls.thresholds), start=1):
         lines.append(f"  p={p}: sum of nu(b[{p},q]) = {s}  (Fano <= {lo}, weak Fano <= {hi})")
-    for (p, q), vec in sorted(bv.b.items()):
+    for (p, q), vec in sorted(b.items()):
         lines.append(f"  b[{p},{q}] = {list(vec)}")
     if args.verify:
+        fanmod.check_ray_limit(t.dim + t.num_stages)  # n_l + 1 rays per stage
         f = fanmod.build_fan(t)
-        fanmod.check_ray_limit(f)
         fanmod.validate_smooth_complete(f)
         oracle = fanmod.batyrev_classify(f)
         report["verified"] = oracle.verdict is cls.verdict

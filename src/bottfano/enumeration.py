@@ -63,8 +63,12 @@ class SweepSpec:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        self.stage_dims = tuple(int(n) for n in self.stage_dims)
+        self.stage_dims = tuple(self.stage_dims)
+        if not self.stage_dims or any(type(n) is not int or n < 1 for n in self.stage_dims):
+            raise SweepError(f"stage dimensions must be positive integers, got {self.stage_dims!r}")
         lo, hi = self.coeff_range
+        if type(lo) is not int or type(hi) is not int:
+            raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
         if lo > hi:
             raise SweepError(f"empty coefficient range {lo}:{hi}")
         if self.mode not in SWEEP_MODES:
@@ -116,7 +120,7 @@ def _candidates(stage_dims, lo: int, hi: int, cap: int):
         coeffs: dict[tuple[int, int], list[int]] = {}
         for (j, l, k), v in zip(slots, values):
             coeffs.setdefault((j, l), [0] * stage_dims[j - 1])[k - 1] = v
-        yield values, GeneralizedBottTower(stage_dims, {jl: tuple(v) for jl, v in coeffs.items()})
+        yield values, GeneralizedBottTower(stage_dims, coeffs)
 
 
 def sweep(s: SweepSpec) -> SweepReport:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .lattice import IntVec, bareiss, det
-from .tower import BVectors, Classification, GeneralizedBottTower, Verdict, validate
+from .tower import BVectors, Classification, GeneralizedBottTower, Verdict
 
 RayLabel = tuple[int, int]
 
@@ -81,7 +81,6 @@ class WallData:
 
 
 def build_fan(t: GeneralizedBottTower) -> Fan:
-    validate(t)
     m = t.num_stages
     dims = t.stage_dims
     n = t.dim
@@ -152,10 +151,9 @@ def validate_smooth_complete(f: Fan) -> None:
             )
 
 
-def check_ray_limit(f: Fan) -> None:
+def check_ray_limit(nrays: int) -> None:
     """Refuse fans with more than BRUTE_FORCE_RAY_LIMIT rays, the limit of
     both primitive-collection searches."""
-    nrays = len(f.rays)
     if nrays > BRUTE_FORCE_RAY_LIMIT:
         raise FanError(
             f"primitive-collection search refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}"
@@ -174,8 +172,8 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     O(depth) state, and refuses the same fans as
     ``primitive_collections_bruteforce``.
     """
-    check_ray_limit(f)
     nrays = len(f.rays)
+    check_ray_limit(nrays)
     ray_cones = [0] * nrays
     for c, cone in enumerate(f.max_cones):
         bit = 1 << c
@@ -219,8 +217,8 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     increasing size.  Refuses fans with more than BRUTE_FORCE_RAY_LIMIT
     rays.
     """
-    check_ray_limit(f)
     nrays = len(f.rays)
+    check_ray_limit(nrays)
     cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
     full = (1 << nrays) - 1
     found: list[tuple[int, frozenset[int]]] = []
@@ -356,9 +354,9 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     for each q, every u_{p+q}^k with k != i_{p,q}.  The ray of the second
     adjacent maximal cone that is not in the first is solved in the first
     cone's basis, as in ``primitive_relation``; the relation is +1 on that
-    ray and minus its coordinates on the first cone's rays, times the sign
-    that makes the coefficient of u_p^0 positive.  It is checked to sum
-    to zero before it is returned.
+    ray and minus its coordinates on the first cone's rays.  It is checked
+    to sum to zero, and to be +1 on the first cone's ray outside the wall
+    (the two cones lie on opposite sides of it), before it is returned.
     """
     m = t.num_stages
     if not 1 <= p <= m:
@@ -391,9 +389,10 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
         total = [s + c * e for s, e in zip(total, f.rays[i])]
     if any(total):
         raise FanError(f"internal error: wall relation for tau_{p} does not sum to zero")
-    c0 = coeffs.get(f.index[(p, 0)], 0)
-    if c0 == 0:
+    for i in adjacent[0] - wall_idx:
+        if coeffs[i] != 1:
+            raise FanError(f"the cones at tau_{p} lie on one side of it: coefficient {coeffs[i]}")
+    if coeffs.get(f.index[(p, 0)], 0) == 0:
         raise FanError(f"wall relation for tau_{p} has zero coefficient on u[{p},0]")
-    sign = 1 if c0 > 0 else -1
-    relation = {f.labels[i]: sign * c for i, c in coeffs.items() if c != 0}
+    relation = {f.labels[i]: c for i, c in coeffs.items() if c != 0}
     return WallData(wall=frozenset(wall), relation=relation)

@@ -34,18 +34,17 @@ class GeneralizedBottTower:
     """Stage dimensions plus the coefficient vectors a_{j,l}.
 
     ``coeffs`` maps (j, l) with 2 <= j <= m, 1 <= l <= j-1 to an integer
-    tuple of length n_j.  Treated as immutable after construction.
+    tuple of length n_j.  Checked by ``validate`` when it is built, so
+    every tower in hand is valid; treated as immutable after that.
     """
 
     stage_dims: tuple[int, ...]
     coeffs: dict[tuple[int, int], IntVec] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.stage_dims = tuple(int(n) for n in self.stage_dims)
-        self.coeffs = {
-            (int(j), int(l)): tuple(int(c) for c in vec)
-            for (j, l), vec in self.coeffs.items()
-        }
+        self.stage_dims = tuple(self.stage_dims)
+        self.coeffs = {jl: tuple(vec) for jl, vec in self.coeffs.items()}
+        validate(self)
 
     @property
     def num_stages(self) -> int:
@@ -78,15 +77,16 @@ class BVectors:
 class Classification:
     """Tri-state verdict with the witnesses that produced it.
 
-    ``nu_sums`` and ``thresholds`` are populated by the closed-form
-    classifier; ``degrees`` (primitive-collection degrees) by the fan
-    route.
+    ``nu_sums``, ``thresholds`` and ``b_vectors`` are populated by the
+    closed-form classifier; ``degrees`` (primitive-collection degrees) by
+    the fan route.
     """
 
     verdict: Verdict
     nu_sums: tuple[int, ...] = ()
     thresholds: tuple[tuple[int, int], ...] = ()
     degrees: dict | None = None
+    b_vectors: BVectors | None = None
 
 
 @dataclass
@@ -96,11 +96,13 @@ class BottMatrix:
     beta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.beta = tuple(tuple(int(e) for e in row) for row in self.beta)
+        self.beta = tuple(tuple(row) for row in self.beta)
         r = len(self.beta)
         for i, row in enumerate(self.beta):
             if len(row) != r:
                 raise TowerError(f"row {i + 1} has length {len(row)}, expected {r}")
+            if any(type(e) is not int for e in row):
+                raise TowerError(f"row {i + 1} must hold integers, got {row!r}")
             if row[i] != 1:
                 raise TowerError(f"diagonal entry ({i + 1},{i + 1}) must be 1")
             for j in range(i):
@@ -113,13 +115,14 @@ class BottMatrix:
 
 
 def validate(t: GeneralizedBottTower) -> None:
-    """Check index ranges and coefficient-vector lengths, naming (j, l)."""
+    """Check index ranges, coefficient-vector lengths and that every entry
+    is an int (a bool or a float is refused, not truncated), naming (j, l)."""
     m = t.num_stages
     if m < 1:
         raise TowerError("at least one stage required")
     for j, n in enumerate(t.stage_dims, start=1):
-        if n < 1:
-            raise TowerError(f"stage dimension n_{j} must be positive, got {n}")
+        if type(n) is not int or n < 1:
+            raise TowerError(f"stage dimension n_{j} must be a positive integer, got {n!r}")
     expected = {(j, l) for j in range(2, m + 1) for l in range(1, j)}
     got = set(t.coeffs)
     for j, l in sorted(expected - got):
@@ -132,11 +135,13 @@ def validate(t: GeneralizedBottTower) -> None:
             raise TowerError(
                 f"coefficient vector a[{j},{l}] has length {len(vec)}, expected n_{j}={nj}"
             )
+        for k, c in enumerate(vec, start=1):
+            if type(c) is not int:
+                raise TowerError(f"coefficients[j={j}][l={l}][k={k}] must be an integer, got {c!r}")
 
 
 def compute_b(t: GeneralizedBottTower) -> BVectors:
     """Run the b_{p,q} recursion, caching mu values and argmin indices."""
-    validate(t)
     m = t.num_stages
     b: dict[tuple[int, int], IntVec] = {}
     mins: dict[tuple[int, int], int] = {}
@@ -172,6 +177,7 @@ def classify(t: GeneralizedBottTower) -> Classification:
         verdict=_verdict_from_sums(nu_sums, thresholds),
         nu_sums=nu_sums,
         thresholds=thresholds,
+        b_vectors=bv,
     )
 
 
@@ -184,12 +190,9 @@ def _verdict_from_sums(nu_sums, thresholds) -> Verdict:
 
 
 def classify_picard_two(n1: int, n2: int, a: IntVec) -> Classification:
-    """Two-stage special case: Fano iff nu(a_{2,1}) <= n_1."""
-    a = tuple(int(c) for c in a)
-    if len(a) != n2:
-        raise TowerError(f"coefficient vector a[2,1] has length {len(a)}, expected n_2={n2}")
-    if n1 < 1 or n2 < 1:
-        raise TowerError("stage dimensions must be positive")
+    """Two-stage special case: Fano iff nu(a_{2,1}) <= n_1.  The input is
+    checked as the tower ((n1, n2), {(2, 1): a}) would be."""
+    a = GeneralizedBottTower((n1, n2), {(2, 1): a}).a(2, 1)
     nu_sums = (nu(a),)
     thresholds = ((n1, n1 + 1),)
     return Classification(
@@ -208,7 +211,6 @@ def bott_fano(t: GeneralizedBottTower) -> bool:
     (3) a single entry a_{p+q,p} equals -1, entries before it are zero, and
         a_{p+r,p} = a_{p+r,p+q} for every r > q.
     """
-    validate(t)
     m = t.num_stages
     if any(n != 1 for n in t.stage_dims):
         raise TowerError("bott_fano requires all stage dimensions equal to 1")

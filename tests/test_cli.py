@@ -118,16 +118,45 @@ class TestCheck:
         assert "refused: 26 rays > limit 24" in err
 
     def test_verify_refuses_large_fan_before_validating(self, capsys, tmp_path, monkeypatch):
-        def fail(f):
-            raise AssertionError("validate_smooth_complete ran on a refused fan")
+        def fail(*args):
+            raise AssertionError("a refused tower reached the fan")
 
+        monkeypatch.setattr("bottfano.fan.build_fan", fail)
         monkeypatch.setattr("bottfano.fan.validate_smooth_complete", fail)
         zeros = [[[0] * 5] * (j - 1) for j in range(2, 6)]
-        doc = tmp_path / "five_fives.json"
-        doc.write_text(json.dumps({"stages": [5] * 5, "coefficients": zeros}))
-        code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
-        assert code == 2
-        assert "primitive-collection search refused: 30 rays > limit 24" in err
+        documents = [
+            ({"stages": [5] * 5, "coefficients": zeros}, 30),
+            ({"stages": [2000], "coefficients": []}, 2001),
+        ]
+        for document, nrays in documents:
+            doc = tmp_path / "big.json"
+            doc.write_text(json.dumps(document))
+            code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
+            assert code == 2
+            assert err == (
+                f"error: primitive-collection search refused: {nrays} rays > limit 24\n"
+            )
+
+    def test_verify_checks_and_recurses_once(self, capsys, monkeypatch):
+        from bottfano import tower
+
+        calls = {"validate": 0, "compute_b": 0}
+
+        def counted(name):
+            original = getattr(tower, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tower, name, counted(name))
+        path = str(FIXTURES / "fano_4stage.json")
+        code, report, _ = run_machine(capsys, "check", "--verify", "--input", path)
+        assert code == 0 and report["verified"] is True
+        assert calls == {"validate": 1, "compute_b": 1}
 
     def test_repeated_calls_do_not_share_options(self, capsys):
         path = str(FIXTURES / "hirzebruch_a1.json")

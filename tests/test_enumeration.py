@@ -77,6 +77,16 @@ class TestSweep:
         with pytest.raises(SweepError, match="empty"):
             SweepSpec((1, 1), (2, -2))
 
+    @pytest.mark.parametrize("dims", [(1, 1.0), (True, 1), ("1", 1), (1, 0), ()])
+    def test_bad_stage_dims_rejected(self, dims):
+        with pytest.raises(SweepError, match="stage dimensions must be positive integers"):
+            SweepSpec(dims, (-1, 1))
+
+    @pytest.mark.parametrize("bounds", [(-1.5, 1), (-1, 1.0), (False, 1), ("-1", "1")])
+    def test_non_int_range_rejected(self, bounds):
+        with pytest.raises(SweepError, match="range ends must be integers"):
+            SweepSpec((1, 1), bounds)
+
 
 class TestCharyCompare:
     def test_r3_counterexamples(self):

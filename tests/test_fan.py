@@ -338,6 +338,16 @@ class TestWallRelation:
         with pytest.raises(FanError, match="singular"):
             wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
 
+    def test_cones_on_one_side_raise(self):
+        # u_1^0 = u_1^2: tau_1 = {u_1^1} lies in {u_1^1, u_1^2} and {u_1^0, u_1^1},
+        # two unimodular cones on the same side of it
+        t = make_tower((2,))
+        f = build_fan(t)
+        rays = list(f.rays)
+        rays[f.index[(1, 0)]] = f.ray((1, 2))
+        with pytest.raises(FanError, match="one side of it: coefficient -1"):
+            wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
+
     def test_cones_not_differing_by_one_ray_raise(self):
         t = make_tower((2,))
         f = build_fan(t)

@@ -24,19 +24,16 @@ class TestValidate:
         validate(make_tower((2,)))
 
     def test_wrong_length_names_the_pair(self):
-        t = make_tower((1, 1), {(2, 1): (0, 0)})
         with pytest.raises(TowerError, match=r"a\[2,1\]"):
-            validate(t)
+            make_tower((1, 1), {(2, 1): (0, 0)})
 
     def test_missing_vector_named(self):
-        t = make_tower((1, 1, 1), {(2, 1): (0,), (3, 1): (0,)})
         with pytest.raises(TowerError, match=r"missing.*a\[3,2\]"):
-            validate(t)
+            make_tower((1, 1, 1), {(2, 1): (0,), (3, 1): (0,)})
 
     def test_extra_vector_named(self):
-        t = make_tower((2,), {(2, 1): (0,)})
         with pytest.raises(TowerError, match=r"unexpected.*a\[2,1\]"):
-            validate(t)
+            make_tower((2,), {(2, 1): (0,)})
 
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(TowerError):
@@ -44,6 +41,17 @@ class TestValidate:
 
     def test_worked_example_is_valid(self):
         validate(fano_4stage())
+
+    @pytest.mark.parametrize("bad", [2.7, 1.0, True, "2"])
+    def test_non_int_coefficient_refused(self, bad):
+        # int() used to read (2.7,) as a = 2
+        with pytest.raises(TowerError, match=r"coefficients\[j=2\]\[l=1\]\[k=1\] must be an integer"):
+            make_tower((1, 1), {(2, 1): (bad,)})
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2"])
+    def test_non_int_stage_dimension_refused(self, bad):
+        with pytest.raises(TowerError, match="n_1 must be a positive integer"):
+            make_tower((bad,))
 
 
 class TestComputeB:
@@ -140,6 +148,15 @@ class TestClassifyPicardTwo:
         with pytest.raises(TowerError):
             classify_picard_two(1, 2, (1,))
 
+    @pytest.mark.parametrize(
+        "n1, n2, a",
+        [(1, 1, (0.5,)), (1, 1, (True,)), (1, 1, ("0",)), (1.0, 1, (0,)), (1, True, (0,))],
+    )
+    def test_non_int_input_refused(self, n1, n2, a):
+        # (1, 1, (0.5,)) used to be truncated to a = 0 and answer fano
+        with pytest.raises(TowerError, match="must be a.*integer"):
+            classify_picard_two(n1, n2, a)
+
     def test_agrees_with_general_classifier_exhaustively(self):
         for n1 in range(1, 4):
             for n2 in range(1, 4):
@@ -188,6 +205,12 @@ class TestBottMatrix:
     def test_rejects_lower_triangle(self):
         with pytest.raises(TowerError):
             BottMatrix(((1, 0), (3, 1)))
+
+    @pytest.mark.parametrize("row", [(1, 0.9), (1, 0.0), (1, False), (1, "0"), (1.0, 0)])
+    def test_non_int_entry_refused(self, row):
+        # ((1, 0.9), (0, 1)) used to become the identity
+        with pytest.raises(TowerError, match="row 1 must hold integers"):
+            BottMatrix((row, (0, 1)))
 
     def test_all_ones_conversion(self):
         b = BottMatrix(((1, 1, 1), (0, 1, 1), (0, 0, 1)))
