@@ -8,7 +8,7 @@ hits are recorded in enumeration order as tuples of slot values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .tower import (
@@ -57,6 +57,8 @@ class SweepError(ValueError):
 
 @dataclass
 class SweepSpec:
+    """Sweep parameters, checked when built (cap and size too), so any spec can run."""
+
     stage_dims: tuple[int, ...]
     coeff_range: tuple[int, int]
     mode: str = "census"
@@ -73,6 +75,23 @@ class SweepSpec:
             raise SweepError(f"empty coefficient range {lo}:{hi}")
         if self.mode not in SWEEP_MODES:
             raise SweepError(f"unknown mode {self.mode!r}; expected one of {SWEEP_MODES}")
+        cap = self.cap
+        if type(cap) is not int:
+            raise SweepError(f"cap must be an integer, got {cap!r}")
+        width = hi - lo + 1
+        nslots = sum((j - 1) * n for j, n in enumerate(self.stage_dims, start=1))
+        # the count width ** nslots is at least 2 ** min_bits, so past both the
+        # cap and the printable length it is refused without being computed
+        min_bits = nslots * (width.bit_length() - 1)
+        if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
+            raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
+        total = width ** nslots
+        if total > cap:
+            shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
+            raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
+        # a range of width 1 has one candidate however many slots it has
+        if nslots > cap:
+            raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
 
 
 @dataclass
@@ -100,21 +119,11 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _candidates(stage_dims, lo: int, hi: int, cap: int):
-    """Yield (values, tower) for every tower on ``stage_dims`` with
-    coefficients in lo..hi, values in ``coefficient_slots`` order and
-    lexicographically; refuse more than ``cap`` candidates up front."""
-    width = hi - lo + 1
-    nslots = sum((j - 1) * n for j, n in enumerate(stage_dims, start=1))
-    # the count width ** nslots is at least 2 ** min_bits, so past both the
-    # cap and the printable length it is refused without being computed
-    min_bits = nslots * (width.bit_length() - 1)
-    if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
-        raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
-    total = width ** nslots
-    if total > cap:
-        shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
-        raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
+def _candidates(s: SweepSpec):
+    """Yield (values, tower) for every tower that ``s`` spans, values in
+    ``coefficient_slots`` order and lexicographically."""
+    stage_dims = s.stage_dims
+    lo, hi = s.coeff_range
     slots = coefficient_slots(stage_dims)
     for values in product(range(lo, hi + 1), repeat=len(slots)):
         coeffs: dict[tuple[int, int], list[int]] = {}
@@ -126,7 +135,7 @@ def _candidates(stage_dims, lo: int, hi: int, cap: int):
 def sweep(s: SweepSpec) -> SweepReport:
     counts = {v.value: 0 for v in Verdict}
     hits: list[tuple[int, ...]] = []
-    for values, t in _candidates(s.stage_dims, *s.coeff_range, s.cap):
+    for values, t in _candidates(s):
         verdict = classify(t).verdict
         counts[verdict.value] += 1
         if s.mode == "fano" and verdict is Verdict.FANO:
@@ -142,13 +151,12 @@ def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -
     the given range; it runs the sweep engine on stages (1,)*r over the
     negated range, as beta_{l,j} = -a_{j,l}, and sorts both lists back
     into row-major lexicographic order of the off-diagonal entries."""
-    if r < 2:
-        raise SweepError("chary_compare requires r >= 2")
-    lo, hi = beta_range
-    if lo > hi:
-        raise SweepError(f"empty beta range {lo}:{hi}")
+    if type(r) is not int or r < 2:
+        raise SweepError(f"chary_compare requires an integer r >= 2, got {r!r}")
+    spec = SweepSpec((1,) * r, beta_range, cap=cap)
+    lo, hi = spec.coeff_range
     report = CharyCompareReport(total=0)
-    for _, t in _candidates((1,) * r, -hi, -lo, cap):
+    for _, t in _candidates(replace(spec, coeff_range=(-hi, -lo))):
         beta = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         for (j, l), (a,) in t.coeffs.items():
             beta[l - 1][j - 1] = -a

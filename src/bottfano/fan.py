@@ -107,11 +107,11 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
             labels.append((l, k))
             rays.append(tuple(ek))
 
-    index = {lab: i for i, lab in enumerate(labels)}
     all_indices = frozenset(range(len(rays)))
     max_cones = []
     for choice in product(*(range(nl + 1) for nl in dims)):
-        omitted = {index[(l, kl)] for l, kl in enumerate(choice, start=1)}
+        # ray (l, k) follows n_i + 1 rays for each stage i < l, then k more
+        omitted = {offsets[l - 1] + l - 1 + kl for l, kl in enumerate(choice, start=1)}
         max_cones.append(all_indices - omitted)
     return Fan(
         dim=n,

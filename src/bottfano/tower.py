@@ -67,7 +67,6 @@ class BVectors:
     minimum is 0, otherwise the smallest k >= 1 attaining it.
     """
 
-    num_stages: int
     b: dict[tuple[int, int], IntVec]
     mins: dict[tuple[int, int], int]
     argmins: dict[tuple[int, int], int]
@@ -115,25 +114,37 @@ class BottMatrix:
 
 
 def validate(t: GeneralizedBottTower) -> None:
-    """Check index ranges, coefficient-vector lengths and that every entry
-    is an int (a bool or a float is refused, not truncated), naming (j, l)."""
-    m = t.num_stages
+    """Check index ranges, that every key is a pair of ints, coefficient-vector
+    lengths and that every entry is an int (a bool or a float is refused, not
+    truncated), naming (j, l) and the path in a tower document."""
+    dims = t.stage_dims
+    m = len(dims)
     if m < 1:
         raise TowerError("at least one stage required")
-    for j, n in enumerate(t.stage_dims, start=1):
+    for j, n in enumerate(dims, start=1):
         if type(n) is not int or n < 1:
-            raise TowerError(f"stage dimension n_{j} must be a positive integer, got {n!r}")
+            raise TowerError(
+                f"stage dimension n_{j} must be a positive integer, got {n!r} (stages[j={j}])"
+            )
     expected = {(j, l) for j in range(2, m + 1) for l in range(1, j)}
     got = set(t.coeffs)
     for j, l in sorted(expected - got):
         raise TowerError(f"missing coefficient vector a[{j},{l}]")
-    for j, l in sorted(got - expected):
+    extra = got - expected
+    for key in extra:
+        if type(key) is not tuple or len(key) != 2 or not all(type(i) is int for i in key):
+            raise TowerError(f"coefficient key {key!r} must be a pair of integers (j, l)")
+    for j, l in sorted(extra):
         raise TowerError(f"unexpected coefficient vector a[{j},{l}]")
     for (j, l), vec in sorted(t.coeffs.items()):
-        nj = t.stage_dims[j - 1]
+        # a key equal to an expected pair may still be (2.0, True)
+        if type(j) is not int or type(l) is not int:
+            raise TowerError(f"coefficient key {(j, l)!r} must be a pair of integers (j, l)")
+        nj = dims[j - 1]
         if len(vec) != nj:
             raise TowerError(
-                f"coefficient vector a[{j},{l}] has length {len(vec)}, expected n_{j}={nj}"
+                f"coefficient vector a[{j},{l}] (coefficients[j={j}][l={l}]) has length "
+                f"{len(vec)}, expected n_{j}={nj}"
             )
         for k, c in enumerate(vec, start=1):
             if type(c) is not int:
@@ -162,7 +173,7 @@ def compute_b(t: GeneralizedBottTower) -> BVectors:
                 argmins[(p, q)] = 0
             else:
                 argmins[(p, q)] = 1 + bpq.index(mn)
-    return BVectors(num_stages=m, b=b, mins=mins, argmins=argmins)
+    return BVectors(b=b, mins=mins, argmins=argmins)
 
 
 def classify(t: GeneralizedBottTower) -> Classification:

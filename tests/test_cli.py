@@ -110,6 +110,23 @@ class TestCheck:
         assert code == 1
         assert err.startswith("error: cannot read")
 
+    @pytest.mark.parametrize("document, path", [
+        ({"stages": [0, 1], "coefficients": [[[0]]]}, "stages[j=1]"),
+        ({"stages": [1, True], "coefficients": [[[0]]]}, "stages[j=2]"),
+        ({"stages": [1.5, 1], "coefficients": [[[0]]]}, "stages[j=1]"),
+        ({"stages": ["2", 1], "coefficients": [[[0]]]}, "stages[j=1]"),
+        ({"stages": [1, 2], "coefficients": [[[0]]]}, "coefficients[j=2][l=1]"),
+        ({"stages": [1, 2], "coefficients": [[[0, 0, 0]]]}, "coefficients[j=2][l=1]"),
+    ])
+    def test_malformed_document_cites_path(self, capsys, tmp_path, document, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, out, err = run(capsys, "check", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert path in err
+
     def test_verify_refuses_more_than_24_rays(self, capsys, tmp_path):
         doc = tmp_path / "big.json"
         doc.write_text(json.dumps({"stages": [12, 12], "coefficients": [[[0] * 12]]}))
@@ -239,6 +256,12 @@ class TestEnumerate:
         assert code == 2
         assert err == "error: 15625 candidates exceed cap 10; raise --cap to proceed\n"
 
+    def test_zero_stage_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--stages", "0,1", "--range=-1:1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: stage dimensions must be positive integers, got (0, 1)\n"
+
     def test_cap_message_on_an_unprintable_count(self, capsys):
         # 3^9999 has 4,771 digits, past the int-to-str limit
         code, _, err = run(capsys, "enumerate", "--stages", "9999,9999", "--range=-1:1")
@@ -258,3 +281,17 @@ class TestCharyCompare:
         code, _, err = run(capsys, "chary-compare", "--r", "200", "--range=-1:1")
         assert code == 2
         assert err == "error: 3^19900 candidates exceed cap 1000000; raise --cap to proceed\n"
+
+    def test_slot_count_refused_before_any_work(self, capsys, monkeypatch):
+        # one candidate over 0:0, but r = 100000 has 4,999,950,000 slots
+        def fail(*args):
+            raise AssertionError("a refused sweep reached the engine")
+
+        monkeypatch.setattr("bottfano.enumeration.classify", fail)
+        monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
+        code, out, err = run(capsys, "chary-compare", "--r", "100000", "--range=0:0")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 4999950000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
+        )

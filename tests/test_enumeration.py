@@ -87,6 +87,17 @@ class TestSweep:
         with pytest.raises(SweepError, match="range ends must be integers"):
             SweepSpec((1, 1), bounds)
 
+    @pytest.mark.parametrize("cap", [1e6, True])
+    def test_non_int_cap_rejected(self, cap):
+        with pytest.raises(SweepError, match="cap must be an integer"):
+            SweepSpec((1, 1), (-1, 1), cap=cap)
+
+    def test_slot_count_refused_on_a_single_candidate(self):
+        # 100 line stages have 4,950 slots and, over 0:0, one candidate
+        with pytest.raises(SweepError, match="^4950 coefficient slots exceed cap 4949;"):
+            SweepSpec((1,) * 100, (0, 0), cap=4949)
+        assert SweepSpec((1,) * 100, (0, 0), cap=4950).cap == 4950
+
 
 class TestCharyCompare:
     def test_r3_counterexamples(self):
@@ -112,6 +123,16 @@ class TestCharyCompare:
     def test_cap(self):
         with pytest.raises(SweepError, match="exceed cap"):
             chary_compare(4, (-2, 2), cap=100)
+
+    @pytest.mark.parametrize("r, beta_range, message", [
+        (3.0, (-1, 1), "requires an integer r >= 2, got 3.0"),
+        (3, (-1.5, 1), "range ends must be integers"),
+        (3, ("-1", "1"), "range ends must be integers"),
+        (3, (1, -1), "empty coefficient range 1:-1"),
+    ], ids=["float-r", "float-end", "str-ends", "empty"])
+    def test_arguments_checked_as_a_sweep_spec(self, r, beta_range, message):
+        with pytest.raises(SweepError, match=message):
+            chary_compare(r, beta_range)
 
 
 def reference_sweep(stage_dims, lo, hi, mode):

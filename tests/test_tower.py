@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -52,6 +53,16 @@ class TestValidate:
     def test_non_int_stage_dimension_refused(self, bad):
         with pytest.raises(TowerError, match="n_1 must be a positive integer"):
             make_tower((bad,))
+
+    @pytest.mark.parametrize("key, coeffs", [
+        # (2.0, True) == (2, 1), so it stands in for that key, not next to it
+        ((2.0, True), {(2.0, True): (1,)}),
+        ((2, 1, 0), {(2, 1): (1,), (2, 1, 0): (1,)}),
+        (5, {(2, 1): (1,), 5: (1,)}),
+    ], ids=["float-bool", "triple", "int"])
+    def test_key_not_a_pair_of_ints_refused(self, key, coeffs):
+        with pytest.raises(TowerError, match=rf"coefficient key {re.escape(repr(key))} must be a pair"):
+            GeneralizedBottTower((1, 1), coeffs)
 
 
 class TestComputeB:
