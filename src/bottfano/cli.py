@@ -41,9 +41,9 @@ def parse_document(text: str) -> GeneralizedBottTower:
     the tower checks stage values, vector lengths and entries."""
     try:
         doc = json.loads(text)
-    except ValueError as e:
-        # a JSONDecodeError, or an integer literal longer than the
-        # interpreter's int-string conversion limit
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer literal longer than the interpreter's
+        # int-string conversion limit, or nesting past the recursion limit
         raise UsageError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise UsageError("document must be a JSON object")

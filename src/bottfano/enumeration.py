@@ -1,23 +1,19 @@
 """Exhaustive sweeps over coefficient ranges.
 
-Candidates are enumerated lexicographically over the coefficient slots
-(j, l, k) in ascending order by one engine, shared by ``sweep`` and
-``chary_compare``, and classified through the closed-form criterion;
-hits are recorded in enumeration order as tuples of slot values.
+Candidates are the assignments of the coefficient slots (j, l, k), listed
+in ascending lexicographic order by ``coefficient_slots``.  One engine,
+shared by ``sweep`` and ``chary_compare``, decides them by a pruned
+depth-first search over whole coefficient vectors, column l = m-1 down
+to 1, with the closed-form nu-sum criterion; hits are tuples of slot
+values in lexicographic order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
-from .tower import (
-    BottMatrix,
-    GeneralizedBottTower,
-    Verdict,
-    chary_condition,
-    classify,
-)
+from .tower import BottMatrix, Verdict, chary_condition
 
 DEFAULT_CAP = 10**6
 
@@ -55,6 +51,36 @@ class SweepError(ValueError):
     """Invalid sweep parameters or candidate cap exceeded."""
 
 
+def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
+    """Check the range ends and the cap, then refuse a sweep of ``nslots``
+    slots over ``coeff_range`` whose candidate count, or slot count, exceeds
+    ``cap``; return the range ends."""
+    try:
+        lo, hi = coeff_range
+    except (TypeError, ValueError):
+        raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}") from None
+    if type(lo) is not int or type(hi) is not int:
+        raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
+    if lo > hi:
+        raise SweepError(f"empty coefficient range {lo}:{hi}")
+    if type(cap) is not int:
+        raise SweepError(f"cap must be an integer, got {cap!r}")
+    width = hi - lo + 1
+    # the count width ** nslots is at least 2 ** min_bits, so past both the
+    # cap and the printable length it is refused without being computed
+    min_bits = nslots * (width.bit_length() - 1)
+    if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
+        raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
+    total = width ** nslots
+    if total > cap:
+        shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
+        raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
+    # a range of width 1 has one candidate however many slots it has
+    if nslots > cap:
+        raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
+    return lo, hi
+
+
 @dataclass
 class SweepSpec:
     """Sweep parameters, checked when built (cap and size too), so any spec can run."""
@@ -65,33 +91,17 @@ class SweepSpec:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        self.stage_dims = tuple(self.stage_dims)
-        if not self.stage_dims or any(type(n) is not int or n < 1 for n in self.stage_dims):
+        try:
+            self.stage_dims = tuple(self.stage_dims)
+            valid = self.stage_dims and all(type(n) is int and n >= 1 for n in self.stage_dims)
+        except TypeError:  # not a sequence at all
+            valid = False
+        if not valid:
             raise SweepError(f"stage dimensions must be positive integers, got {self.stage_dims!r}")
-        lo, hi = self.coeff_range
-        if type(lo) is not int or type(hi) is not int:
-            raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
-        if lo > hi:
-            raise SweepError(f"empty coefficient range {lo}:{hi}")
         if self.mode not in SWEEP_MODES:
             raise SweepError(f"unknown mode {self.mode!r}; expected one of {SWEEP_MODES}")
-        cap = self.cap
-        if type(cap) is not int:
-            raise SweepError(f"cap must be an integer, got {cap!r}")
-        width = hi - lo + 1
         nslots = sum((j - 1) * n for j, n in enumerate(self.stage_dims, start=1))
-        # the count width ** nslots is at least 2 ** min_bits, so past both the
-        # cap and the printable length it is refused without being computed
-        min_bits = nslots * (width.bit_length() - 1)
-        if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
-            raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
-        total = width ** nslots
-        if total > cap:
-            shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
-            raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
-        # a range of width 1 has one candidate however many slots it has
-        if nslots > cap:
-            raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
+        self.coeff_range = _check_extent(self.coeff_range, self.cap, nslots)
 
 
 @dataclass
@@ -119,55 +129,114 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _candidates(s: SweepSpec):
-    """Yield (values, tower) for every tower that ``s`` spans, values in
-    ``coefficient_slots`` order and lexicographically."""
-    stage_dims = s.stage_dims
+def _search(s: SweepSpec) -> tuple[dict[str, int], list[tuple[int, ...]]]:
+    """Census counts and sorted hits of the sweep ``s``.
+
+    A depth-first search assigns whole coefficient vectors a_{j,p}: column
+    p = m-1 down to 1, and within a column j = p+1 up to m.  Stage p's
+    nu-sum reads only columns l >= p, and b_{p,q} only a_{p+q,p}, the
+    vectors above it in column p and columns to its right, so each b_{p,q}
+    is computed once per assignment of those.  nu >= 0, so a partial sum
+    past n_p + 1 only grows: every completion of the path is then counted
+    as not weak Fano without being visited.  A leaf is Fano iff every
+    stage's sum is at most n_p.  No tower is built.
+    """
+    dims = s.stage_dims
+    m = len(dims)
     lo, hi = s.coeff_range
-    slots = coefficient_slots(stage_dims)
-    for values in product(range(lo, hi + 1), repeat=len(slots)):
-        coeffs: dict[tuple[int, int], list[int]] = {}
-        for (j, l, k), v in zip(slots, values):
-            coeffs.setdefault((j, l), [0] * stage_dims[j - 1])[k - 1] = v
-        yield values, GeneralizedBottTower(stage_dims, coeffs)
+    values = range(lo, hi + 1)
+    fano, weak, not_weak = (v.value for v in Verdict)
+    counts = dict.fromkeys((fano, weak, not_weak), 0)
+    hits: list[tuple[int, ...]] = []
+    record = s.mode != "census"
+    cells = [(p + q, p) for p in range(m - 1, 0, -1) for q in range(1, m - p + 1)]
+    if not cells:  # one stage: one candidate, and no stage p < m to test
+        counts[fano] = 1
+        return counts, [()] if record else []
+    # below[d]: the candidates that share an assignment of cells[:d + 1]
+    below, rest = [], 0
+    for j, _ in reversed(cells):
+        below.append((hi - lo + 1) ** rest)
+        rest += dims[j - 1]
+    below.reverse()
+    order = [(j, l) for j in range(2, m + 1) for l in range(1, j)]  # slot order
+    a: dict[tuple[int, int], tuple[int, ...]] = {}
+    # per depth: vectors left, offset, partial sum, Fano so far, and the
+    # pairs (r, mu(b_{p,r})) with mu != 0 above the cell in its column
+    frames: list = [None] * len(cells)
+    last = len(cells) - 1
+
+    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> None:
+        # b_{p,q} = a_{p+q,p} + offset, offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}
+        j, p = cells[d]
+        offset = [0] * dims[j - 1]
+        for r, mr in nonzero:
+            offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
+        frames[d] = (product(values, repeat=dims[j - 1]), offset if any(offset) else None,
+                     partial, ok, nonzero)
+
+    enter(0, 0, True, ())
+    d = 0
+    while d >= 0:
+        cell = j, p = cells[d]
+        vecs, offset, partial, ok, nonzero = frames[d]
+        n1 = dims[j - 1] + 1
+        n_p = dims[p - 1]
+        closes = j == m  # b_{p,m-p} completes stage p's sum
+        for vec in vecs:
+            b = vec if offset is None else [v + o for v, o in zip(vec, offset)]
+            mn = min(0, *b)
+            total = partial + sum(b) - n1 * mn  # + nu(b_{p,q})
+            if total > n_p + 1:
+                counts[not_weak] += below[d]
+                continue
+            a[cell] = vec
+            now_ok = ok and (total <= n_p or not closes)
+            if d < last:
+                if closes:
+                    enter(d + 1, 0, now_ok, ())
+                else:
+                    enter(d + 1, total, now_ok, nonzero + ((j - p, mn),) if mn else nonzero)
+                d += 1
+                break
+            counts[fano if now_ok else weak] += 1
+            if record and (now_ok or s.mode == "weak_fano"):
+                hits.append(tuple(x for jl in order for x in a[jl]))
+        else:
+            d -= 1
+    hits.sort()
+    return counts, hits
 
 
 def sweep(s: SweepSpec) -> SweepReport:
-    counts = {v.value: 0 for v in Verdict}
-    hits: list[tuple[int, ...]] = []
-    for values, t in _candidates(s):
-        verdict = classify(t).verdict
-        counts[verdict.value] += 1
-        if s.mode == "fano" and verdict is Verdict.FANO:
-            hits.append(values)
-        elif s.mode == "weak_fano" and verdict is not Verdict.NOT_WEAK_FANO:
-            hits.append(values)
+    counts, hits = _search(s)
     return SweepReport(sum(counts.values()), coefficient_slots(s.stage_dims), hits, counts)
 
 
 def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -> CharyCompareReport:
     """Compare Chary's sign condition against the Fano verdict over all
     upper triangular unit-diagonal matrices with off-diagonal entries in
-    the given range; it runs the sweep engine on stages (1,)*r over the
-    negated range, as beta_{l,j} = -a_{j,l}, and sorts both lists back
-    into row-major lexicographic order of the off-diagonal entries."""
+    the given range, walked in row-major lexicographic order.  The Fano
+    set comes from the sweep engine, run in ``fano`` mode on stages
+    (1,)*r over the negated range, as beta_{l,j} = -a_{j,l}."""
     if type(r) is not int or r < 2:
         raise SweepError(f"chary_compare requires an integer r >= 2, got {r!r}")
-    spec = SweepSpec((1,) * r, beta_range, cap=cap)
-    lo, hi = spec.coeff_range
-    report = CharyCompareReport(total=0)
-    for _, t in _candidates(replace(spec, coeff_range=(-hi, -lo))):
-        beta = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        for (j, l), (a,) in t.coeffs.items():
-            beta[l - 1][j - 1] = -a
-        values = tuple(v for i, row in enumerate(beta) for v in row[i + 1:])
-        chary = chary_condition(BottMatrix(tuple(map(tuple, beta))))
-        fano = classify(t).verdict is Verdict.FANO
-        report.total += 1
+    # refuse by size before the r-tuple of stages is built
+    lo, hi = _check_extent(beta_range, cap, r * (r - 1) // 2)
+    dims = (1,) * r
+    _, towers = _search(SweepSpec(dims, (-hi, -lo), mode="fano", cap=cap))
+    position = {(j, l): i for i, (j, l, _) in enumerate(coefficient_slots(dims))}
+    pairs = [(l, j) for l in range(1, r + 1) for j in range(l + 1, r + 1)]  # row-major
+    fano_set = {tuple(-h[position[(j, l)]] for l, j in pairs) for h in towers}
+    report = CharyCompareReport(total=(hi - lo + 1) ** len(pairs))
+    for values in product(range(lo, hi + 1), repeat=len(pairs)):
+        beta = [[int(i == j) for j in range(1, r + 1)] for i in range(1, r + 1)]
+        for (l, j), v in zip(pairs, values):
+            beta[l - 1][j - 1] = v
+        chary = chary_condition(BottMatrix(beta))
+        fano = values in fano_set
         if chary and not fano:
             report.chary_not_fano.append(values)
         if fano and not chary:
             report.fano_not_chary.append(values)
-    report.chary_not_fano.sort()
-    report.fano_not_chary.sort()
     return report

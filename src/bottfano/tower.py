@@ -42,8 +42,21 @@ class GeneralizedBottTower:
     coeffs: dict[tuple[int, int], IntVec] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.stage_dims = tuple(self.stage_dims)
-        self.coeffs = {jl: tuple(vec) for jl, vec in self.coeffs.items()}
+        try:
+            self.stage_dims = tuple(self.stage_dims)
+        except TypeError:
+            raise TowerError(f"stage dimensions must be a sequence, got {self.stage_dims!r}") from None
+        if not isinstance(self.coeffs, dict):
+            raise TowerError(f"coefficients must be a dict keyed by (j, l), got {self.coeffs!r}")
+        coeffs = {}
+        for jl, vec in self.coeffs.items():
+            try:
+                coeffs[jl] = tuple(vec)
+            except TypeError:
+                raise TowerError(
+                    f"coefficient vector {jl!r} must be a sequence of integers, got {vec!r}"
+                ) from None
+        self.coeffs = coeffs
         validate(self)
 
     @property
@@ -95,7 +108,10 @@ class BottMatrix:
     beta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.beta = tuple(tuple(row) for row in self.beta)
+        try:
+            self.beta = tuple(tuple(row) for row in self.beta)
+        except TypeError:
+            raise TowerError(f"a Bott matrix must be a sequence of rows, got {self.beta!r}") from None
         r = len(self.beta)
         for i, row in enumerate(self.beta):
             if len(row) != r:

@@ -103,6 +103,15 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_deep_nesting_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        code, out, err = run(capsys, "check", "--input", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
     def test_undecodable_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{")
@@ -284,14 +293,28 @@ class TestCharyCompare:
 
     def test_slot_count_refused_before_any_work(self, capsys, monkeypatch):
         # one candidate over 0:0, but r = 100000 has 4,999,950,000 slots
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise AssertionError("a refused sweep reached the engine")
 
-        monkeypatch.setattr("bottfano.enumeration.classify", fail)
+        monkeypatch.setattr("bottfano.enumeration.product", fail)
         monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
         code, out, err = run(capsys, "chary-compare", "--r", "100000", "--range=0:0")
         assert code == 2
         assert out == ""
         assert err == (
             "error: 4999950000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
+        )
+
+    def test_huge_r_refused_before_the_stages_are_built(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a refused comparison built its stages")
+
+        # SweepSpec is what builds the stage tuple (1,) * r
+        monkeypatch.setattr("bottfano.enumeration.SweepSpec", fail)
+        monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
+        code, out, err = run(capsys, "chary-compare", "--r", "10000000", "--range=0:0")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 49999995000000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
         )

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from bottfano import enumeration
+from bottfano import enumeration, tower
 from bottfano.enumeration import (
     FANO_THREE_STAGE_TRIPLES,
     SWEEP_MODES,
@@ -19,6 +19,7 @@ from bottfano.tower import (
     chary_condition,
     classify,
     from_bott_matrix,
+    validate,
 )
 
 
@@ -77,7 +78,7 @@ class TestSweep:
         with pytest.raises(SweepError, match="empty"):
             SweepSpec((1, 1), (2, -2))
 
-    @pytest.mark.parametrize("dims", [(1, 1.0), (True, 1), ("1", 1), (1, 0), ()])
+    @pytest.mark.parametrize("dims", [(1, 1.0), (True, 1), ("1", 1), (1, 0), (), 5])
     def test_bad_stage_dims_rejected(self, dims):
         with pytest.raises(SweepError, match="stage dimensions must be positive integers"):
             SweepSpec(dims, (-1, 1))
@@ -86,6 +87,10 @@ class TestSweep:
     def test_non_int_range_rejected(self, bounds):
         with pytest.raises(SweepError, match="range ends must be integers"):
             SweepSpec((1, 1), bounds)
+
+    def test_range_not_a_pair_rejected(self):
+        with pytest.raises(SweepError, match=r"^coefficient range must be a pair lo, hi, got \(1, 2, 3\)$"):
+            SweepSpec((1, 1), (1, 2, 3))
 
     @pytest.mark.parametrize("cap", [1e6, True])
     def test_non_int_cap_rejected(self, cap):
@@ -129,7 +134,8 @@ class TestCharyCompare:
         (3, (-1.5, 1), "range ends must be integers"),
         (3, ("-1", "1"), "range ends must be integers"),
         (3, (1, -1), "empty coefficient range 1:-1"),
-    ], ids=["float-r", "float-end", "str-ends", "empty"])
+        (3, (0,), r"coefficient range must be a pair lo, hi, got \(0,\)"),
+    ], ids=["float-r", "float-end", "str-ends", "empty", "not-a-pair"])
     def test_arguments_checked_as_a_sweep_spec(self, r, beta_range, message):
         with pytest.raises(SweepError, match=message):
             chary_compare(r, beta_range)
@@ -179,7 +185,20 @@ class TestEngineMatchesReferenceLoops:
         expected = reference_sweep((1, 2, 1), -1, 1, mode)
         assert (report.total, report.slots, report.hits, report.counts) == expected
 
-    @pytest.mark.parametrize("r, lo, hi", [(3, -2, 1), (4, -1, 1)])
+    @pytest.mark.parametrize("stage_dims, lo, hi", [
+        ((1, 1, 1, 1), -2, 2),
+        ((2, 1, 2, 1), -1, 1),
+        ((3, 3, 2), -1, 1),
+        ((1, 1), -2, 2),
+        ((4,), -1, 1),
+    ])
+    def test_pruned_search_in_every_mode(self, stage_dims, lo, hi):
+        for mode in SWEEP_MODES:
+            report = sweep(SweepSpec(stage_dims, (lo, hi), mode=mode))
+            expected = reference_sweep(stage_dims, lo, hi, mode)
+            assert (report.total, report.slots, report.hits, report.counts) == expected, mode
+
+    @pytest.mark.parametrize("r, lo, hi", [(3, -2, 1), (3, -2, 2), (4, -1, 1)])
     def test_chary_compare(self, r, lo, hi):
         report = chary_compare(r, (lo, hi))
         expected = reference_chary_compare(r, lo, hi)
@@ -187,11 +206,43 @@ class TestEngineMatchesReferenceLoops:
         assert report.fano_not_chary  # an empty list would pin no sign or order
 
     def test_cap_refused_before_any_candidate(self, monkeypatch):
-        def fail(t):
-            raise AssertionError("classify called past the cap")
+        def fail(*args, **kwargs):
+            raise AssertionError("candidates generated past the cap")
 
-        monkeypatch.setattr(enumeration, "classify", fail)
+        monkeypatch.setattr(enumeration, "product", fail)
         with pytest.raises(SweepError, match="81 candidates exceed cap 80"):
             sweep(SweepSpec((1, 2, 1), (-1, 1), cap=80))
         with pytest.raises(SweepError, match="729 candidates exceed cap 728"):
             chary_compare(4, (-1, 1), cap=728)
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("m, lo, hi, fano", [
+        (3, -1, 1, 15), (4, -1, 1, 105), (5, -1, 1, 945), (4, -2, 2, 105),
+    ])
+    def test_fano_bott_manifold_counts(self, m, lo, hi, fano):
+        # observed data, (2m - 1)!! each time; not a theorem of the paper
+        report = sweep(SweepSpec((1,) * m, (lo, hi), mode="fano"))
+        assert report.counts["fano"] == len(report.hits) == fano
+        assert report.total == sum(report.counts.values()) == (hi - lo + 1) ** (m * (m - 1) // 2)
+
+    def test_builds_no_tower(self, monkeypatch):
+        calls = []
+
+        def counting_validate(t):
+            calls.append(t)
+            return validate(t)
+
+        monkeypatch.setattr(tower, "validate", counting_validate)
+        for mode in SWEEP_MODES:
+            sweep(SweepSpec((2, 1, 2, 1), (-1, 1), mode=mode))
+        chary_compare(3, (-1, 1))
+        assert calls == []
+        GeneralizedBottTower((1, 1), {(2, 1): (0,)})
+        assert len(calls) == 1  # the counter sees a tower that is built
+
+    def test_width_one_range_on_many_stages(self):
+        # 4,950 vectors deep: the search keeps its own stack, not Python's
+        report = sweep(SweepSpec((1,) * 100, (0, 0), mode="fano", cap=4950))
+        assert report.counts == {"fano": 1, "weak_fano_not_fano": 0, "not_weak_fano": 0}
+        assert report.hits == [(0,) * 4950]

@@ -64,6 +64,21 @@ class TestValidate:
         with pytest.raises(TowerError, match=rf"coefficient key {re.escape(repr(key))} must be a pair"):
             GeneralizedBottTower((1, 1), coeffs)
 
+    def test_vector_not_a_sequence_refused(self):
+        with pytest.raises(
+            TowerError, match=r"^coefficient vector \(2, 1\) must be a sequence of integers, got 5$"
+        ):
+            GeneralizedBottTower((1, 1), {(2, 1): 5})
+
+    @pytest.mark.parametrize("coeffs", [[(1,)], None])
+    def test_coefficients_not_a_dict_refused(self, coeffs):
+        with pytest.raises(TowerError, match=r"^coefficients must be a dict keyed by \(j, l\)"):
+            GeneralizedBottTower((1, 1), coeffs)
+
+    def test_stage_dims_not_a_sequence_refused(self):
+        with pytest.raises(TowerError, match="^stage dimensions must be a sequence, got 3$"):
+            GeneralizedBottTower(3)
+
 
 class TestComputeB:
     def test_worked_fano_example(self):
@@ -216,6 +231,11 @@ class TestBottMatrix:
     def test_rejects_lower_triangle(self):
         with pytest.raises(TowerError):
             BottMatrix(((1, 0), (3, 1)))
+
+    @pytest.mark.parametrize("beta", [5, [[1, 2], 3]])
+    def test_not_a_sequence_of_rows_refused(self, beta):
+        with pytest.raises(TowerError, match="^a Bott matrix must be a sequence of rows, got "):
+            BottMatrix(beta)
 
     @pytest.mark.parametrize("row", [(1, 0.9), (1, 0.0), (1, False), (1, "0"), (1.0, 0)])
     def test_non_int_entry_refused(self, row):
