@@ -152,25 +152,29 @@ def cmd_fan(args) -> int:
         "stages": list(t.stage_dims),
         "relations": [_relation_to_json(pr) for pr in relations],
     }
-    lines = []
     if not args.relations_only:
         report["rays"] = [[list(lab), list(vec)] for lab, vec in zip(f.labels, f.rays)]
         report["max_cones"] = [sorted(cone) for cone in f.max_cones]
-        lines.append(f"rays ({len(f.rays)}):")
+    _emit(report, args, _fan_lines(f, relations, args.relations_only))
+    return EXIT_OK
+
+
+def _fan_lines(f: fanmod.Fan, relations, relations_only: bool):
+    """Human output of ``fan``, formatted only as it is printed."""
+    if not relations_only:
+        yield f"rays ({len(f.rays)}):"
         for lab, vec in zip(f.labels, f.rays):
-            lines.append(f"  {_label(lab)} = {list(vec)}")
-        lines.append(f"maximal cones ({len(f.max_cones)}):")
+            yield f"  {_label(lab)} = {list(vec)}"
+        yield f"maximal cones ({len(f.max_cones)}):"
         for cone in f.max_cones:
-            lines.append("  {" + ", ".join(_label(f.labels[i]) for i in sorted(cone)) + "}")
-    lines.append(f"primitive collections ({len(relations)}):")
+            yield "  {" + ", ".join(_label(f.labels[i]) for i in sorted(cone)) + "}"
+    yield f"primitive collections ({len(relations)}):"
     for pr in relations:
         lhs = " + ".join(_label(lab) for lab in sorted(pr.members))
         rhs = " + ".join(
             f"{c}*{_label(lab)}" for lab, c in sorted(pr.relation_rhs.items())
         ) or "0"
-        lines.append(f"  {lhs} = {rhs}   (degree {pr.degree})")
-    _emit(report, args, lines)
-    return EXIT_OK
+        yield f"  {lhs} = {rhs}   (degree {pr.degree})"
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -12,7 +12,6 @@ the distinguished codimension-one cones are all computed exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
@@ -35,7 +34,8 @@ class Fan:
 
     ``labels[i]`` is the (l, k) pair of ray i; ``max_cones`` are frozensets
     of ray indices, one cone per lexicographic choice (k_1, ..., k_m) of
-    the omitted ray in each stage.
+    the omitted ray in each stage.  Bit c of ``ray_cones[i]`` is set iff
+    ``max_cones[c]`` contains ray i.
     """
 
     dim: int
@@ -45,6 +45,10 @@ class Fan:
 
     def __post_init__(self):
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.ray_cones = [0] * len(self.rays)
+        for c, cone in enumerate(self.max_cones):
+            for i in cone:
+                self.ray_cones[i] |= 1 << c
 
     def ray(self, label: RayLabel) -> IntVec:
         return self.rays[self.index[label]]
@@ -52,9 +56,12 @@ class Fan:
     def to_labels(self, indices) -> frozenset[RayLabel]:
         return frozenset(self.labels[i] for i in indices)
 
-    def is_face(self, labels) -> bool:
-        idx = {self.index[lab] for lab in labels}
-        return any(idx <= cone for cone in self.max_cones)
+    def cones_containing(self, indices) -> int:
+        """Bitmask of the maximal cones that contain all the rays ``indices``."""
+        mask = (1 << len(self.max_cones)) - 1
+        for i in indices:
+            mask &= self.ray_cones[i]
+        return mask
 
 
 @dataclass
@@ -140,15 +147,19 @@ def validate_smooth_complete(f: Fan) -> None:
             raise FanError(f"maximal cone #{ci} has {len(mat)} rays, expected {f.dim}")
         if det(mat) not in (1, -1):
             raise FanError(f"maximal cone #{ci} is not unimodular")
-    facet_counts: Counter[frozenset[int]] = Counter()
     for cone in f.max_cones:
-        for i in cone:
-            facet_counts[cone - {i}] += 1
-    for facet, count in facet_counts.items():
-        if count != 2:
-            raise FanError(
-                f"facet {sorted(f.to_labels(facet))} lies in {count} maximal cones, expected 2"
-            )
+        # facet cone - {idx[d]} lies in before & after[d + 1], the cones at idx[:d] and idx[d+1:]
+        idx = list(cone)
+        after = [f.cones_containing(())] * (len(idx) + 1)
+        for d in range(len(idx) - 1, -1, -1):
+            after[d] = after[d + 1] & f.ray_cones[idx[d]]
+        before = after[-1]
+        for d, i in enumerate(idx):
+            count = (before & after[d + 1]).bit_count()
+            if count != 2:
+                facet = sorted(f.to_labels(cone - {i}))
+                raise FanError(f"facet {facet} lies in {count} maximal cones, expected 2")
+            before &= f.ray_cones[i]
 
 
 def check_ray_limit(nrays: int) -> None:
@@ -164,24 +175,19 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     """All minimal ray sets not contained in any maximal cone, by a
     depth-first search over the faces of the fan.
 
-    Each ray carries the bitmask of the maximal cones that contain it, so
-    a ray set is a face iff the AND of its members' masks is nonzero.  A
-    face is extended only by rays of larger index; an extension whose AND
-    is 0 is a non-face, and it is primitive iff dropping any one member
-    leaves a nonzero AND.  Uses only ``rays`` and ``max_cones``, keeps
-    O(depth) state, and refuses the same fans as
+    A ray set is a face iff the AND of its members' ``Fan.ray_cones`` masks
+    is nonzero.  A face is extended only by rays of larger index; an
+    extension whose AND is 0 is a non-face, and it is primitive iff
+    dropping any one member leaves a nonzero AND.  Uses only ``rays`` and
+    ``max_cones``, keeps O(depth) state, and refuses the same fans as
     ``primitive_collections_bruteforce``.
     """
     nrays = len(f.rays)
     check_ray_limit(nrays)
-    ray_cones = [0] * nrays
-    for c, cone in enumerate(f.max_cones):
-        bit = 1 << c
-        for i in cone:
-            ray_cones[i] |= bit
+    ray_cones = f.ray_cones
     members: list[int] = []
     # prefix[d] is the AND of the masks of members[:d]
-    prefix = [(1 << len(f.max_cones)) - 1]
+    prefix = [f.cones_containing(())]
     found: list[tuple[int, ...]] = []
 
     def extend(start: int) -> None:
@@ -267,10 +273,11 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     FanError.
     """
     members = frozenset(p)
-    if f.is_face(members):
+    idx = [f.index[lab] for lab in members]
+    if f.cones_containing(idx):
         raise FanError(f"{sorted(members)} spans a cone of the fan; not a primitive collection")
-    for lab in members:
-        if not f.is_face(members - {lab}):
+    for d in range(len(idx)):
+        if not f.cones_containing(idx[:d] + idx[d + 1:]):
             raise FanError(f"{sorted(members)} is not minimal; not a primitive collection")
     s = [0] * f.dim
     for lab in members:
@@ -373,14 +380,16 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     wall_idx = {f.index[lab] for lab in wall}
     if len(wall_idx) != f.dim - 1:
         raise FanError(f"tau_{p} has {len(wall_idx)} rays, expected {f.dim - 1}")
-    adjacent = [cone for cone in f.max_cones if wall_idx <= cone]
-    if len(adjacent) != 2:
-        raise FanError(f"tau_{p} lies in {len(adjacent)} maximal cones, expected 2")
-    extra = adjacent[1] - adjacent[0]
+    around = f.cones_containing(wall_idx)
+    if around.bit_count() != 2:
+        raise FanError(f"tau_{p} lies in {around.bit_count()} maximal cones, expected 2")
+    first = f.max_cones[(around & -around).bit_length() - 1]
+    second = f.max_cones[around.bit_length() - 1]
+    extra = second - first
     if len(extra) != 1:
         raise FanError(f"the cones at tau_{p} differ by {len(extra)} rays, expected 1")
     (j,) = extra
-    basis = sorted(adjacent[0])
+    basis = sorted(first)
     coords = _cone_coordinates([f.rays[i] for i in basis], f.rays[j])
     coeffs = {i: -x for i, x in zip(basis, coords)}
     coeffs[j] = 1
@@ -389,7 +398,7 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
         total = [s + c * e for s, e in zip(total, f.rays[i])]
     if any(total):
         raise FanError(f"internal error: wall relation for tau_{p} does not sum to zero")
-    for i in adjacent[0] - wall_idx:
+    for i in first - wall_idx:
         if coeffs[i] != 1:
             raise FanError(f"the cones at tau_{p} lie on one side of it: coefficient {coeffs[i]}")
     if coeffs.get(f.index[(p, 0)], 0) == 0:

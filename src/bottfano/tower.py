@@ -142,20 +142,15 @@ def validate(t: GeneralizedBottTower) -> None:
             raise TowerError(
                 f"stage dimension n_{j} must be a positive integer, got {n!r} (stages[j={j}])"
             )
-    expected = {(j, l) for j in range(2, m + 1) for l in range(1, j)}
-    got = set(t.coeffs)
-    for j, l in sorted(expected - got):
-        raise TowerError(f"missing coefficient vector a[{j},{l}]")
-    extra = got - expected
-    for key in extra:
+    for key in t.coeffs:
         if type(key) is not tuple or len(key) != 2 or not all(type(i) is int for i in key):
             raise TowerError(f"coefficient key {key!r} must be a pair of integers (j, l)")
-    for j, l in sorted(extra):
+    expected = {(j, l) for j in range(2, m + 1) for l in range(1, j)}
+    for j, l in sorted(expected - t.coeffs.keys()):
+        raise TowerError(f"missing coefficient vector a[{j},{l}]")
+    for j, l in sorted(t.coeffs.keys() - expected):
         raise TowerError(f"unexpected coefficient vector a[{j},{l}]")
     for (j, l), vec in sorted(t.coeffs.items()):
-        # a key equal to an expected pair may still be (2.0, True)
-        if type(j) is not int or type(l) is not int:
-            raise TowerError(f"coefficient key {(j, l)!r} must be a pair of integers (j, l)")
         nj = dims[j - 1]
         if len(vec) != nj:
             raise TowerError(
@@ -200,33 +195,24 @@ def classify(t: GeneralizedBottTower) -> Classification:
         sum(nu(bv.b[(p, q)]) for q in range(1, m - p + 1)) for p in range(1, m)
     )
     thresholds = tuple((t.stage_dims[p - 1], t.stage_dims[p - 1] + 1) for p in range(1, m))
+    if all(s <= lo for s, (lo, _) in zip(nu_sums, thresholds)):
+        verdict = Verdict.FANO
+    elif all(s <= hi for s, (_, hi) in zip(nu_sums, thresholds)):
+        verdict = Verdict.WEAK_FANO_NOT_FANO
+    else:
+        verdict = Verdict.NOT_WEAK_FANO
     return Classification(
-        verdict=_verdict_from_sums(nu_sums, thresholds),
+        verdict=verdict,
         nu_sums=nu_sums,
         thresholds=thresholds,
         b_vectors=bv,
     )
 
 
-def _verdict_from_sums(nu_sums, thresholds) -> Verdict:
-    if all(s <= lo for s, (lo, _) in zip(nu_sums, thresholds)):
-        return Verdict.FANO
-    if all(s <= hi for s, (_, hi) in zip(nu_sums, thresholds)):
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
-
-
 def classify_picard_two(n1: int, n2: int, a: IntVec) -> Classification:
     """Two-stage special case: Fano iff nu(a_{2,1}) <= n_1.  The input is
     checked as the tower ((n1, n2), {(2, 1): a}) would be."""
-    a = GeneralizedBottTower((n1, n2), {(2, 1): a}).a(2, 1)
-    nu_sums = (nu(a),)
-    thresholds = ((n1, n1 + 1),)
-    return Classification(
-        verdict=_verdict_from_sums(nu_sums, thresholds),
-        nu_sums=nu_sums,
-        thresholds=thresholds,
-    )
+    return classify(GeneralizedBottTower((n1, n2), {(2, 1): a}))
 
 
 def bott_fano(t: GeneralizedBottTower) -> bool:

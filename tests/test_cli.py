@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bottfano import cli
 from bottfano.cli import main, parse_document
 from bottfano.tower import TowerError
 from bottfano.cli import UsageError
@@ -230,6 +231,63 @@ class TestFan:
         assert code == 0
         assert "rays" not in report
         assert len(report["relations"]) == 2
+
+
+HUMAN_OUTPUT = {
+    ("fan", "hirzebruch_a1.json"): """\
+rays (4):
+  u[1,0] = [-1, 1]
+  u[1,1] = [1, 0]
+  u[2,0] = [0, -1]
+  u[2,1] = [0, 1]
+maximal cones (4):
+  {u[1,1], u[2,1]}
+  {u[1,1], u[2,0]}
+  {u[1,0], u[2,1]}
+  {u[1,0], u[2,0]}
+primitive collections (2):
+  u[1,0] + u[1,1] = 1*u[2,1]   (degree 1)
+  u[2,0] + u[2,1] = 0   (degree 2)
+""",
+    ("relations", "hirzebruch_a1.json"): """\
+primitive collections (2):
+  u[1,0] + u[1,1] = 1*u[2,1]   (degree 1)
+  u[2,0] + u[2,1] = 0   (degree 2)
+""",
+    ("check --verify", "fano_4stage.json"): """\
+verdict: fano
+  p=1: sum of nu(b[1,q]) = 3  (Fano <= 3, weak Fano <= 4)
+  p=2: sum of nu(b[2,q]) = 2  (Fano <= 2, weak Fano <= 3)
+  p=3: sum of nu(b[3,q]) = 1  (Fano <= 2, weak Fano <= 3)
+  b[1,1] = [-1, -1]
+  b[1,2] = [0, 1]
+  b[1,3] = [0, 1]
+  b[2,1] = [0, -1]
+  b[2,2] = [0, 0]
+  b[3,1] = [0, 1]
+verify: fan criterion agrees
+""",
+}
+
+
+class TestHumanOutput:
+    @pytest.mark.parametrize("command, fixture", sorted(HUMAN_OUTPUT))
+    def test_whole_stdout(self, capsys, command, fixture):
+        code, out, err = run(capsys, *command.split(), "--input", str(FIXTURES / fixture))
+        assert (code, err) == (0, "")
+        assert out == HUMAN_OUTPUT[command, fixture]
+
+    @pytest.mark.parametrize("command", ["fan", "relations"])
+    def test_machine_output_formats_no_lines(self, capsys, monkeypatch, command):
+        def refuse(lab):
+            raise AssertionError(f"label {lab} formatted for machine output")
+
+        monkeypatch.setattr(cli, "_label", refuse)
+        code, report, _ = run_machine(
+            capsys, command, "--input", str(FIXTURES / "fano_4stage.json")
+        )
+        assert code == 0
+        assert len(report["relations"]) == 4
 
 
 class TestEnumerate:

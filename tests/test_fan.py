@@ -93,6 +93,35 @@ class TestValidateSmoothComplete:
         with pytest.raises(FanError, match="not primitive"):
             validate_smooth_complete(replace(f, rays=tuple(rays)))
 
+    @pytest.mark.parametrize("rays, cones, message", [
+        ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)],
+         "facet [(0, 0)] lies in 1 maximal cones, expected 2"),
+        ([(1, 0), (0, 1), (-1, 0), (1, 1)], [(0, 1), (1, 2), (1, 3)],
+         "facet [(0, 1)] lies in 3 maximal cones, expected 2"),
+        ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2,)],
+         "maximal cone #2 has 1 rays, expected 2"),
+    ], ids=["facet-in-one-cone", "facet-in-three-cones", "one-ray-cone"])
+    def test_first_bad_cone_or_facet_named(self, rays, cones, message):
+        with pytest.raises(FanError) as excinfo:
+            validate_smooth_complete(hand_fan(rays, cones))
+        assert str(excinfo.value) == message
+
+
+def test_cones_containing_matches_subset_scan(rng):
+    for _ in range(30):
+        f = build_fan(random_tower(rng))
+        nrays = len(f.rays)
+        subsets = [()]
+        subsets += [rng.sample(range(nrays), rng.randint(1, nrays)) for _ in range(5)]
+        # subsets of a maximal cone are faces, so most of these masks are nonzero
+        subsets += [rng.sample(sorted(rng.choice(f.max_cones)), rng.randint(1, f.dim))
+                    for _ in range(5)]
+        for s in subsets:
+            mask = f.cones_containing(s)
+            assert {c for c in range(len(f.max_cones)) if mask >> c & 1} == {
+                c for c, cone in enumerate(f.max_cones) if set(s) <= cone
+            }
+
 
 class TestPrimitiveCollections:
     def test_hirzebruch(self):
@@ -347,6 +376,18 @@ class TestWallRelation:
         rays[f.index[(1, 0)]] = f.ray((1, 2))
         with pytest.raises(FanError, match="one side of it: coefficient -1"):
             wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_wall_in_one_cone_raises(self, p):
+        t = fano_4stage()
+        f = build_fan(t)
+        bv = compute_b(t)
+        wall_idx = {f.index[lab] for lab in wall_relation(f, t, bv, p).wall}
+        drop = next(c for c, cone in enumerate(f.max_cones) if wall_idx <= cone)
+        cones = f.max_cones[:drop] + f.max_cones[drop + 1:]
+        with pytest.raises(FanError) as excinfo:
+            wall_relation(replace(f, max_cones=cones), t, bv, p)
+        assert str(excinfo.value) == f"tau_{p} lies in 1 maximal cones, expected 2"
 
     def test_cones_not_differing_by_one_ray_raise(self):
         t = make_tower((2,))

@@ -59,7 +59,9 @@ class TestValidate:
         ((2.0, True), {(2.0, True): (1,)}),
         ((2, 1, 0), {(2, 1): (1,), (2, 1, 0): (1,)}),
         (5, {(2, 1): (1,), 5: (1,)}),
-    ], ids=["float-bool", "triple", "int"])
+        # a bad key is named before a missing vector
+        (5, {5: (1,)}),
+    ], ids=["float-bool", "triple", "int", "int-and-missing"])
     def test_key_not_a_pair_of_ints_refused(self, key, coeffs):
         with pytest.raises(TowerError, match=rf"coefficient key {re.escape(repr(key))} must be a pair"):
             GeneralizedBottTower((1, 1), coeffs)
@@ -191,6 +193,7 @@ class TestClassifyPicardTwo:
                     general = classify(make_tower((n1, n2), {(2, 1): a}))
                     assert special.verdict is general.verdict
                     assert special.nu_sums == general.nu_sums
+                    assert special.b_vectors == general.b_vectors
 
 
 def bott_tower(scalars: dict[tuple[int, int], int], m: int) -> GeneralizedBottTower:
