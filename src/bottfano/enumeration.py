@@ -11,7 +11,7 @@ values in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .tower import BottMatrix, Verdict, chary_condition
 
@@ -216,7 +216,7 @@ def sweep(s: SweepSpec) -> SweepReport:
 def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -> CharyCompareReport:
     """Compare Chary's sign condition against the Fano verdict over all
     upper triangular unit-diagonal matrices with off-diagonal entries in
-    the given range, walked in row-major lexicographic order.  The Fano
+    the given range, listed in row-major lexicographic order.  The Fano
     set comes from the sweep engine, run in ``fano`` mode on stages
     (1,)*r over the negated range, as beta_{l,j} = -a_{j,l}."""
     if type(r) is not int or r < 2:
@@ -228,15 +228,17 @@ def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -
     position = {(j, l): i for i, (j, l, _) in enumerate(coefficient_slots(dims))}
     pairs = [(l, j) for l in range(1, r + 1) for j in range(l + 1, r + 1)]  # row-major
     fano_set = {tuple(-h[position[(j, l)]] for l, j in pairs) for h in towers}
-    report = CharyCompareReport(total=(hi - lo + 1) ** len(pairs))
-    for values in product(range(lo, hi + 1), repeat=len(pairs)):
-        beta = [[int(i == j) for j in range(1, r + 1)] for i in range(1, r + 1)]
-        for (l, j), v in zip(pairs, values):
-            beta[l - 1][j - 1] = v
-        chary = chary_condition(BottMatrix(beta))
-        fano = values in fano_set
-        if chary and not fano:
-            report.chary_not_fano.append(values)
-        if fano and not chary:
-            report.fano_not_chary.append(values)
-    return report
+    # Chary's clauses leave at most one nonzero entry right of the diagonal
+    # in each row, so no matrix with more can be accepted
+    rows = [[t for t in product(range(lo, hi + 1), repeat=r - i) if sum(map(bool, t)) <= 1]
+            for i in range(1, r)]
+    chary = []
+    for upper in product(*rows):
+        beta = [(0,) * i + (1,) + row for i, row in enumerate(upper)] + [(0,) * (r - 1) + (1,)]
+        if chary_condition(BottMatrix(beta)):
+            chary.append(tuple(chain.from_iterable(upper)))
+    return CharyCompareReport(
+        total=(hi - lo + 1) ** len(pairs),
+        chary_not_fano=[v for v in chary if v not in fano_set],
+        fano_not_chary=sorted(fano_set.difference(chary)),
+    )

@@ -44,9 +44,19 @@ class Fan:
     max_cones: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if len(self.labels) != len(self.rays):
+            raise FanError(f"{len(self.labels)} labels for {len(self.rays)} rays")
+        for lab, ray in zip(self.labels, self.rays):
+            if len(ray) != self.dim:
+                raise FanError(f"ray {lab} has {len(ray)} entries, expected dim {self.dim}")
+        ray_indices = frozenset(range(len(self.rays)))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.ray_cones = [0] * len(self.rays)
         for c, cone in enumerate(self.max_cones):
+            if not ray_indices.issuperset(cone):
+                raise FanError(
+                    f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{len(self.rays) - 1}"
+                )
             for i in cone:
                 self.ray_cones[i] |= 1 << c
 
@@ -273,6 +283,9 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     FanError.
     """
     members = frozenset(p)
+    for lab in members:
+        if lab not in f.index:
+            raise FanError(f"{lab} is not a ray label of the fan")
     idx = [f.index[lab] for lab in members]
     if f.cones_containing(idx):
         raise FanError(f"{sorted(members)} spans a cone of the fan; not a primitive collection")

@@ -233,22 +233,16 @@ def bott_fano(t: GeneralizedBottTower) -> bool:
 
     for p in range(1, m):
         col = [a(p + r, p) for r in range(1, m - p + 1)]
-        if all(c == 0 for c in col):
+        q = next((r for r, c in enumerate(col, start=1) if c), None)
+        if q is None:  # (1)
             continue
-        ok = False
-        for q in range(1, m - p + 1):
-            if col[q - 1] == 1 and all(c == 0 for r, c in enumerate(col, 1) if r != q):
-                ok = True
-                break
-            if (
-                col[q - 1] == -1
-                and all(col[r - 1] == 0 for r in range(1, q))
-                and all(col[r - 1] == a(p + r, p + q) for r in range(q + 1, m - p + 1))
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
+        if col[q - 1] == 1 and not any(col[q:]):  # (2)
+            continue
+        if col[q - 1] == -1 and all(  # (3)
+            col[r - 1] == a(p + r, p + q) for r in range(q + 1, m - p + 1)
+        ):
+            continue
+        return False
     return True
 
 
@@ -272,21 +266,14 @@ def chary_condition(b: BottMatrix) -> bool:
     (2) eta_i^- empty, |eta_i^+| <= 1, and the positive entry (if any) is 1
         at some column q with beta_qk = 0 for all k > q.
     """
-    r = b.size
     beta = b.beta
-    for i in range(1, r + 1):
-        plus = [j for j in range(i + 1, r + 1) if beta[i - 1][j - 1] > 0]
-        minus = [j for j in range(i + 1, r + 1) if beta[i - 1][j - 1] < 0]
-        cond1 = not plus and len(minus) <= 1 and all(beta[i - 1][l - 1] == -1 for l in minus)
-        cond2 = (
-            not minus
-            and len(plus) <= 1
-            and all(
-                beta[i - 1][q - 1] == 1
-                and all(beta[q - 1][k - 1] == 0 for k in range(q + 1, r + 1))
-                for q in plus
-            )
-        )
-        if not (cond1 or cond2):
+    for i, row in enumerate(beta):
+        entries = [(q, v) for q, v in enumerate(row[i + 1:], start=i + 1) if v]
+        if not entries:
+            continue
+        if len(entries) > 1:
+            return False
+        (q, v), = entries
+        if not (v == -1 or (v == 1 and not any(beta[q][q + 1:]))):
             return False
     return True

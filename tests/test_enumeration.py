@@ -178,6 +178,10 @@ def reference_chary_compare(r, lo, hi):
     return (hi - lo + 1) ** len(slots), chary_not_fano, fano_not_chary
 
 
+#: inputs whose fano_not_chary is not empty, so the comparison pins sign and order
+PINNING_CHARY_INPUTS = [(3, -2, 1), (3, -2, 2), (4, -1, 1), (3, 1, 2), (4, 0, 1)]
+
+
 class TestEngineMatchesReferenceLoops:
     @pytest.mark.parametrize("mode", SWEEP_MODES)
     def test_sweep(self, mode):
@@ -198,12 +202,28 @@ class TestEngineMatchesReferenceLoops:
             expected = reference_sweep(stage_dims, lo, hi, mode)
             assert (report.total, report.slots, report.hits, report.counts) == expected, mode
 
-    @pytest.mark.parametrize("r, lo, hi", [(3, -2, 1), (3, -2, 2), (4, -1, 1)])
+    @pytest.mark.parametrize("r, lo, hi", [
+        *PINNING_CHARY_INPUTS, (2, -1, 1), (3, -2, -1), (4, 0, 0),
+    ])
     def test_chary_compare(self, r, lo, hi):
         report = chary_compare(r, (lo, hi))
         expected = reference_chary_compare(r, lo, hi)
         assert (report.total, report.chary_not_fano, report.fano_not_chary) == expected
-        assert report.fano_not_chary  # an empty list would pin no sign or order
+        if (r, lo, hi) in PINNING_CHARY_INPUTS:
+            assert report.fano_not_chary  # an empty list would pin no sign or order
+
+    def test_chary_condition_only_on_rows_it_can_accept(self, monkeypatch):
+        calls = []
+
+        def counting_chary_condition(b):
+            calls.append(b)
+            return chary_condition(b)
+
+        monkeypatch.setattr(enumeration, "chary_condition", counting_chary_condition)
+        report = chary_compare(4, (-1, 1))
+        assert report.total == 729 and len(report.fano_not_chary) == 32
+        # 7 * 5 * 3 matrices hold at most one nonzero entry in each row
+        assert len(calls) <= 105
 
     def test_cap_refused_before_any_candidate(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -107,6 +107,22 @@ class TestValidateSmoothComplete:
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("rays, labels, cones, message", [
+    ([(1, 0), (0, 1)], [(0, 0), (0, 1)], [(0, 2)],
+     r"^maximal cone #0 \[0, 2\] names a ray outside 0..1$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1)], [(0, 1), (1, 2), (2, 0)],
+     "^2 labels for 3 rays$"),
+    ([(1, 0), (0, 1), (-1, -1, 0)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)],
+     r"^ray \(0, 2\) has 3 entries, expected dim 2$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, -1)],
+     r"^maximal cone #2 \[-1, 2\] names a ray outside 0..2$"),
+], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index"])
+def test_malformed_fan_refused_when_built(rays, labels, cones, message):
+    with pytest.raises(FanError, match=message):
+        Fan(dim=2, rays=tuple(rays), labels=tuple(labels),
+            max_cones=tuple(frozenset(c) for c in cones))
+
+
 def test_cones_containing_matches_subset_scan(rng):
     for _ in range(30):
         f = build_fan(random_tower(rng))
@@ -227,6 +243,11 @@ class TestPrimitiveRelation:
                      [(0, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
         with pytest.raises(FanError, match="singular"):
             primitive_relation(f, frozenset({(0, 2), (0, 3)}))
+
+    def test_unknown_label_named(self):
+        f = build_fan(hirzebruch(0))
+        with pytest.raises(FanError, match=r"^\(3, 3\) is not a ray label of the fan$"):
+            primitive_relation(f, frozenset({(1, 0), (3, 3)}))
 
     def test_rejects_non_minimal_set(self):
         f = build_fan(hirzebruch(0))

@@ -262,6 +262,28 @@ class TestBottMatrix:
         assert from_bott_matrix(b).coeffs == {(2, 1): (a,)}
 
 
+def reference_chary_condition(b: BottMatrix) -> bool:
+    """The original eta^+ / eta^- loop, kept as the oracle for chary_condition."""
+    r = b.size
+    beta = b.beta
+    for i in range(1, r + 1):
+        plus = [j for j in range(i + 1, r + 1) if beta[i - 1][j - 1] > 0]
+        minus = [j for j in range(i + 1, r + 1) if beta[i - 1][j - 1] < 0]
+        cond1 = not plus and len(minus) <= 1 and all(beta[i - 1][l - 1] == -1 for l in minus)
+        cond2 = (
+            not minus
+            and len(plus) <= 1
+            and all(
+                beta[i - 1][q - 1] == 1
+                and all(beta[q - 1][k - 1] == 0 for k in range(q + 1, r + 1))
+                for q in plus
+            )
+        )
+        if not (cond1 or cond2):
+            return False
+    return True
+
+
 class TestCharyCondition:
     def test_all_ones_counterexample(self):
         b = BottMatrix(((1, 1, 1), (0, 1, 1), (0, 0, 1)))
@@ -273,6 +295,16 @@ class TestCharyCondition:
 
     def test_single_positive_entry(self):
         assert chary_condition(BottMatrix(((1, 1), (0, 1))))
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_reference_exhaustively(self, r):
+        slots = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        for values in product(range(-2, 3), repeat=len(slots)):
+            beta = [[int(i == j) for j in range(r)] for i in range(r)]
+            for (i, j), v in zip(slots, values):
+                beta[i][j] = v
+            b = BottMatrix(beta)
+            assert chary_condition(b) == reference_chary_condition(b), beta
 
     def test_chary_implies_fano_on_small_sweep(self, rng):
         for r in (2, 3, 4):
