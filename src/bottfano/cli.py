@@ -195,6 +195,8 @@ def _parse_stages(text: str) -> tuple[int, ...]:
 def cmd_enumerate(args) -> int:
     stages = _parse_stages(args.stages)
     rng = _parse_range(args.range)
+    if args.expect_table1 and (stages != (1, 1, 1) or args.mode != "fano"):
+        raise UsageError("--expect-table1 requires --stages 1,1,1 --mode fano")
     spec = SweepSpec(stage_dims=stages, coeff_range=rng, mode=args.mode, cap=args.cap)
     result = enumeration.sweep(spec)
     report = {
@@ -215,14 +217,11 @@ def cmd_enumerate(args) -> int:
         lines.append(f"hits ({len(result.hits)}), slots (j,l,k) = {list(result.slots)}:")
         lines.extend(f"  {list(h)}" for h in result.hits)
     _emit(report, args, lines)
-    if args.expect_table1:
-        if stages != (1, 1, 1) or args.mode != "fano":
-            raise UsageError("--expect-table1 requires --stages 1,1,1 --mode fano")
-        if set(result.hits) != FANO_THREE_STAGE_TRIPLES:
-            raise ExpectationError(
-                f"Fano hit set has {len(result.hits)} triples, "
-                f"expected the {len(FANO_THREE_STAGE_TRIPLES)} known ones"
-            )
+    if args.expect_table1 and set(result.hits) != FANO_THREE_STAGE_TRIPLES:
+        raise ExpectationError(
+            f"Fano hit set has {len(result.hits)} triples, "
+            f"expected the {len(FANO_THREE_STAGE_TRIPLES)} known ones"
+        )
     return EXIT_OK
 
 

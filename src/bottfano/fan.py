@@ -53,6 +53,10 @@ class Fan:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.ray_cones = [0] * len(self.rays)
         for c, cone in enumerate(self.max_cones):
+            for i in cone:
+                # exactly int: 1.0 and True would pass the range test as ray 1
+                if type(i) is not int:
+                    raise FanError(f"maximal cone #{c} names ray index {i!r}, not an int")
             if not ray_indices.issuperset(cone):
                 raise FanError(
                     f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{len(self.rays) - 1}"
@@ -182,46 +186,42 @@ def check_ray_limit(nrays: int) -> None:
 
 
 def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
-    """All minimal ray sets not contained in any maximal cone, by a
-    depth-first search over the faces of the fan.
+    """All minimal ray sets not contained in any maximal cone, as the
+    minimal transversals of the cone complements (Murakami and Uno's MMCS).
 
-    A ray set is a face iff the AND of its members' ``Fan.ray_cones`` masks
-    is nonzero.  A face is extended only by rays of larger index; an
-    extension whose AND is 0 is a non-face, and it is primitive iff
-    dropping any one member leaves a nonzero AND.  Uses only ``rays`` and
-    ``max_cones``, keeps O(depth) state, and refuses the same fans as
-    ``primitive_collections_bruteforce``.
+    A ray set is a non-face iff it meets the complement of every maximal
+    cone, i.e. iff ``face``, the AND of its members' ``Fan.ray_cones``
+    masks, is 0.  ``crit[d]`` holds the cones that contain every member
+    but ``members[d]`` and not ``members[d]``; the set is minimal iff each
+    of them is nonzero.  While ``face`` is nonzero the search branches only
+    on the candidate rays outside its lowest cone, since one of them must
+    join.  These rays leave the candidates first, and each comes back once
+    its own branch is done, so every collection is found once: in the
+    branch of the last of its rays among them.  The recursion is at most
+    as deep as the largest collection (dim + 1).  Reads the fan only
+    through ``ray_cones`` and ``cones_containing``, and refuses the same
+    fans as ``primitive_collections_bruteforce``.
     """
     nrays = len(f.rays)
     check_ray_limit(nrays)
     ray_cones = f.ray_cones
-    members: list[int] = []
-    # prefix[d] is the AND of the masks of members[:d]
-    prefix = [f.cones_containing(())]
     found: list[tuple[int, ...]] = []
 
-    def extend(start: int) -> None:
-        face = prefix[-1]
-        for j in range(start, nrays):
-            mask = face & ray_cones[j]
-            if mask:
-                if j + 1 < nrays:
-                    members.append(j)
-                    prefix.append(mask)
-                    extend(j + 1)
-                    members.pop()
-                    prefix.pop()
-                continue
-            # dropping members[d] leaves prefix[d] & (masks of members[d+1:]) & mask_j
-            suffix = ray_cones[j]
-            for d in range(len(members) - 1, -1, -1):
-                if not prefix[d] & suffix:
-                    break
-                suffix &= ray_cones[members[d]]
-            else:
-                found.append((*members, j))
+    def search(members: tuple[int, ...], face: int, crit: list[int], cand: int) -> None:
+        # the empty set is never recorded, so a fan with no cones gives every ray
+        if not face and members:
+            found.append(members)
+            return
+        low = face & -face
+        branch = [j for j in range(nrays) if cand >> j & 1 and not ray_cones[j] & low]
+        cand &= ~sum(1 << j for j in branch)
+        for j in branch:
+            mask = ray_cones[j]
+            if all(c & mask for c in crit):
+                search((*members, j), face & mask, [c & mask for c in crit] + [face & ~mask], cand)
+            cand |= 1 << j
 
-    extend(0)
+    search((), f.cones_containing(()), [], (1 << nrays) - 1)
     return {f.to_labels(idx) for idx in found}
 
 

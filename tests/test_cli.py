@@ -299,12 +299,19 @@ class TestEnumerate:
         assert code == 0
         assert len(report["hits"]) == 15
 
-    def test_expect_table1_wrong_stages(self, capsys):
-        code, _, err = run(
-            capsys, "enumerate", "--stages", "1,1", "--range=-1:1",
-            "--mode", "fano", "--expect-table1",
-        )
-        assert code == 1
+    def test_expect_table1_wrong_stages(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a refused table check reached the sweep")
+
+        monkeypatch.setattr("bottfano.enumeration.sweep", fail)
+        for stages, mode in [("1,1", "fano"), ("1,1,1", "census")]:
+            code, out, err = run(
+                capsys, "enumerate", "--stages", stages, "--range=-1:1",
+                "--mode", mode, "--expect-table1", "--format", "machine",
+            )
+            assert code == 1
+            assert out == ""
+            assert err == "error: --expect-table1 requires --stages 1,1,1 --mode fano\n"
 
     def test_census(self, capsys):
         code, report, _ = run_machine(

@@ -116,7 +116,14 @@ class TestValidateSmoothComplete:
      r"^ray \(0, 2\) has 3 entries, expected dim 2$"),
     ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, -1)],
      r"^maximal cone #2 \[-1, 2\] names a ray outside 0..2$"),
-], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index"])
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1.0), (1, 2), (2, 0)],
+     r"^maximal cone #0 names ray index 1\.0, not an int$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, True)],
+     "^maximal cone #2 names ray index True, not an int$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (5, "2")],
+     "^maximal cone #2 names ray index '2', not an int$"),
+], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index", "float-index",
+        "bool-index", "str-index"])
 def test_malformed_fan_refused_when_built(rays, labels, cones, message):
     with pytest.raises(FanError, match=message):
         Fan(dim=2, rays=tuple(rays), labels=tuple(labels),
@@ -142,23 +149,58 @@ def test_cones_containing_matches_subset_scan(rng):
 class TestPrimitiveCollections:
     def test_hirzebruch(self):
         f = build_fan(hirzebruch(1))
-        assert primitive_collections_bruteforce(f) == {
+        assert primitive_collections(f) == primitive_collections_bruteforce(f) == {
             frozenset({(1, 0), (1, 1)}),
             frozenset({(2, 0), (2, 1)}),
         }
 
     def test_projective_space_single_collection(self):
         f = build_fan(make_tower((3,)))
-        assert primitive_collections_bruteforce(f) == {
+        assert primitive_collections(f) == primitive_collections_bruteforce(f) == {
             frozenset({(1, 0), (1, 1), (1, 2), (1, 3)})
         }
 
     def test_tower_fan_collections_are_the_stage_sets(self):
         t = fano_4stage()
         f = build_fan(t)
-        assert primitive_collections_bruteforce(f) == {
+        assert primitive_collections(f) == primitive_collections_bruteforce(f) == {
             collection_for_stage(t, p) for p in range(1, 5)
         }
+
+    def test_search_matches_subset_scan_on_random_cone_systems(self, rng):
+        # cone systems with no fan behind them: no cones, rays in no cone, nested cones
+        for _ in range(2000):
+            nrays, dim = rng.randint(1, 12), rng.randint(1, 6)
+            cones = [rng.sample(range(nrays), rng.randint(1, min(dim, nrays)))
+                     for _ in range(rng.randint(0, 12))]
+            f = Fan(dim=dim, rays=((0,) * dim,) * nrays,
+                    labels=tuple((0, i) for i in range(nrays)),
+                    max_cones=tuple(frozenset(c) for c in cones))
+            assert primitive_collections(f) == primitive_collections_bruteforce(f)
+
+    def test_search_reads_few_cone_masks_on_the_widest_tower(self):
+        class CountingList(list):
+            reads = 0
+
+            def count(self):
+                CountingList.reads += 1
+                # a search that visits every face reads the masks 15,458,704 times
+                # here; stop it at the bound rather than wait for it
+                assert CountingList.reads <= 1_000_000, "over 1,000,000 mask reads"
+
+            def __getitem__(self, i):
+                self.count()
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                self.count()
+                return super().__iter__()
+
+        # (3,)^6 has 24 rays, the most the ray limit accepts, and 4^6 = 4,096 cones
+        t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
+        f = build_fan(t)
+        f.ray_cones = CountingList(f.ray_cones)
+        assert primitive_collections(f) == {collection_for_stage(t, p) for p in range(1, 7)}
 
     def test_guard_on_large_fans(self):
         t = make_tower((5,) * 5, {
