@@ -144,7 +144,11 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
 
 def validate_smooth_complete(f: Fan) -> None:
     """Check unimodular maximal cones, two cones per facet, distinct
-    primitive rays."""
+    primitive rays.
+
+    These are necessary for a smooth complete fan, not sufficient: nothing
+    here proves completeness, and a cycle of cones that winds twice round
+    the plane passes every check."""
     seen: dict[IntVec, RayLabel] = {}
     for lab, ray in zip(f.labels, f.rays):
         if ray in seen:

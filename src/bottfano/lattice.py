@@ -35,35 +35,56 @@ def bareiss(a: list[list[int]]) -> int:
     """Bareiss fraction-free elimination, in place, over the first n columns
     of the n-row integer matrix ``a`` (n <= row length).
 
+    Column k pivots on a row whose entry there is 1 or -1 if one exists,
+    else on the first nonzero entry; a -1 pivot row is replaced by its
+    negation.  Swapping and negating rows before they pivot is plain
+    Bareiss on a row-permuted, row-negated matrix, so every division stays
+    exact.  After a unit pivot that follows a unit pivot (or starts the
+    matrix), rows with a zero in the pivot column are left alone and the
+    others become ``x - fac * y``; any other step is the usual Bareiss
+    update.
+
     Afterwards ``a`` is upper triangular in those columns, every entry is
-    still an integer and the last pivot ``a[n-1][n-1]`` is the sign-adjusted
-    determinant of the leading n x n block; the remaining columns have
-    undergone the same row operations.  Returns the sign of the row
-    permutation, or 0 (leaving ``a`` part-way) if the block is singular.
+    still an integer, and the remaining columns have undergone the same
+    row operations (swaps and negations included).  Returns the sign s with
+    ``s * a[n-1][n-1]`` equal to the determinant of the leading n x n block,
+    counting both row swaps and row negations, or 0 (leaving ``a`` part-way)
+    if the block is singular.
     """
     n = len(a)
     sign = 1
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        p = -1
+        for i in range(k, n):
+            e = a[i][k]
+            if e == 1 or e == -1:
+                p = i
+                break
+            if e and p < 0:
+                p = i
+        if p < 0:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
         rowk = a[k]
         piv = rowk[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
+        if piv == -1:
+            a[k] = rowk = [-y for y in rowk]
+            sign = -sign
+            piv = 1
+        for rowi in a[k + 1:]:
             fac = rowi[k]
             if fac == 0 and piv == prev:
                 continue  # the update below would leave the row unchanged
-            # exact division: Bareiss invariant guarantees divisibility
-            rowi[k + 1:] = [
-                (x * piv - fac * y) // prev for x, y in zip(rowi[k + 1:], rowk[k + 1:])
-            ]
+            if piv == prev == 1:
+                rowi[k + 1:] = [x - fac * y for x, y in zip(rowi[k + 1:], rowk[k + 1:])]
+            else:
+                # exact division: Bareiss invariant guarantees divisibility
+                rowi[k + 1:] = [
+                    (x * piv - fac * y) // prev for x, y in zip(rowi[k + 1:], rowk[k + 1:])
+                ]
             rowi[k] = 0
         prev = piv
     return sign

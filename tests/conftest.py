@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,28 @@ import pytest
 from bottfano import GeneralizedBottTower
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fraction_det(m) -> int:
+    """Determinant by Gaussian elimination over ``Fraction``: a reference
+    that shares no code with ``bottfano.lattice``."""
+    a = [[Fraction(e) for e in row] for row in m]
+    n = len(a)
+    d = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            d = -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
+    assert d.denominator == 1
+    return int(d)
 
 
 def make_tower(stage_dims, coeffs=None) -> GeneralizedBottTower:

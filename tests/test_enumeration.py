@@ -241,10 +241,35 @@ class TestPrunedSearch:
         (3, -1, 1, 15), (4, -1, 1, 105), (5, -1, 1, 945), (4, -2, 2, 105),
     ])
     def test_fano_bott_manifold_counts(self, m, lo, hi, fano):
-        # observed data, (2m - 1)!! each time; not a theorem of the paper
+        # bott_fano's clauses, column p = m-1 down to 1: (1) gives one column,
+        # (2) gives m - p (the place of the single 1) and (3) gives m - p (the
+        # place q of the -1; column p + q fixes the entries after it).  They
+        # differ in the sign of the first nonzero entry, so they never overlap,
+        # and every entry stays in -1:1.  Any range holding -1:1 therefore
+        # gives prod_{p<m} (2(m - p) + 1) = (2m - 1)!! Fano towers.
         report = sweep(SweepSpec((1,) * m, (lo, hi), mode="fano"))
         assert report.counts["fano"] == len(report.hits) == fano
         assert report.total == sum(report.counts.values()) == (hi - lo + 1) ** (m * (m - 1) // 2)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_fano_set_is_built_from_the_three_clauses(self, m):
+        towers = [{}]
+        for p in range(m - 1, 0, -1):
+            length = m - p
+            extended = []
+            for a in towers:
+                columns = [(0,) * length]  # (1)
+                for q in range(1, length + 1):
+                    before = (0,) * (q - 1)
+                    columns.append(before + (1,) + (0,) * (length - q))  # (2)
+                    columns.append(before + (-1,) + tuple(  # (3)
+                        a[p + r, p + q] for r in range(q + 1, length + 1)))
+                for col in columns:
+                    extended.append({**a, **{(p + r, p): c for r, c in enumerate(col, start=1)}})
+            towers = extended
+        built = {tuple(a[j, l] for j, l, _ in coefficient_slots((1,) * m)) for a in towers}
+        assert len(built) == len(towers) == {4: 105, 5: 945}[m]
+        assert set(sweep(SweepSpec((1,) * m, (-1, 1), mode="fano")).hits) == built
 
     def test_builds_no_tower(self, monkeypatch):
         calls = []

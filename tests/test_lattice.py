@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bottfano.fan import FanError, _cone_coordinates, build_fan
 from bottfano.lattice import LatticeError, bareiss, det, mu, nu
+
+from conftest import fraction_det, make_tower
 
 ints = st.integers(min_value=-50, max_value=50)
 vectors = st.lists(ints, min_size=1, max_size=6).map(tuple)
@@ -113,3 +116,67 @@ class TestBareiss:
                 assert all(e == 0 for e in row[:i])
                 assert sum(c * e for c, e in zip(row[:n], x)) == row[n]
 
+
+    def test_minus_one_pivot_row_is_negated(self):
+        a = [[-1, 2, 5], [3, 1, 4]]
+        sign = bareiss(a)
+        assert a[0] == [1, -2, -5]
+        assert sign * a[1][1] == det([[-1, 2], [3, 1]]) == -7
+
+    def test_unit_pivot_below_a_non_unit_diagonal(self):
+        a = [[2, 1], [1, 1]]
+        sign = bareiss(a)
+        # one swap and one negation (of the -1 left in the last row)
+        assert a == [[1, 1], [0, 1]] and sign == 1
+        assert sign * a[1][1] == det([[2, 1], [1, 1]]) == 1
+
+    @pytest.mark.parametrize("m", [
+        [[2, 3], [3, 5]],
+        [[5, 3], [3, 2]],
+        [[2, 3, 0], [3, 5, 0], [0, 0, 1]],
+        [[3, 0, 2], [0, 1, 0], [4, 0, 3]],
+    ])
+    def test_unimodular_with_no_unit_entry_in_a_column(self, m):
+        assert det(m) == fraction_det(m) in (1, -1)
+
+    @pytest.mark.parametrize("target", [(1, 0), (0, 1), (-4, 7)])
+    def test_cone_coordinates_with_no_unit_entry_in_a_column(self, target):
+        cols = [(2, 3), (3, 5)]
+        x = _cone_coordinates(cols, target)
+        assert all(type(c) is int for c in x)
+        assert tuple(sum(c * col[i] for c, col in zip(x, cols)) for i in range(2)) == target
+
+    def test_cone_coordinates_refuse_a_non_unimodular_cone(self):
+        with pytest.raises(FanError, match="non-integral"):
+            _cone_coordinates([(2, 4), (3, 5)], (1, 0))
+
+    def test_matches_fraction_reference_up_to_7x7(self):
+        # mostly 0 and +-1 entries, so unit and non-unit pivots mix
+        rng = random.Random(19)
+        entries = (0, 0, 0, 1, 1, -1, -1, 2, -2, 3)
+        for _ in range(2000):
+            n = rng.randint(1, 7)
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            d = det(m)
+            assert type(d) is int and d == fraction_det(m)
+
+    def test_unimodular_cones_rewrite_no_row_with_a_zero_pivot_column(self):
+        class RecordingRow(list):
+            # a rewrite at step k writes row[k + 1:] while row[k] still
+            # holds the factor it eliminates
+            factors = []
+
+            def __setitem__(self, key, value):
+                if isinstance(key, slice):
+                    RecordingRow.factors.append(self[key.start - 1])
+                super().__setitem__(key, value)
+
+        # the all-zero (3,)^6 tower mixes u_l^0 = -(e_l^1 + e_l^2 + e_l^3)
+        # with unit vectors, so its cones alternate 1 and -1 entries
+        t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
+        f = build_fan(t)
+        for cone in f.max_cones:
+            a = [RecordingRow(f.rays[i]) for i in sorted(cone)]
+            sign = bareiss(a)
+            assert sign * a[-1][-1] in (1, -1)
+        assert RecordingRow.factors and 0 not in RecordingRow.factors
