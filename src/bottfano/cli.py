@@ -121,7 +121,6 @@ def cmd_check(args) -> int:
     for (p, q), vec in sorted(b.items()):
         lines.append(f"  b[{p},{q}] = {list(vec)}")
     if args.verify:
-        fanmod.check_ray_limit(t.dim + t.num_stages)  # n_l + 1 rays per stage
         f = fanmod.build_fan(t)
         fanmod.validate_smooth_complete(f)
         oracle = fanmod.batyrev_classify(f)

@@ -14,14 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
+from .enumeration import PRINTABLE_BITS
 from .lattice import IntVec, bareiss, det
 from .tower import BVectors, Classification, GeneralizedBottTower, Verdict
 
 RayLabel = tuple[int, int]
 
 BRUTE_FORCE_RAY_LIMIT = 24
+
+#: Largest cones * dim^2 that ``build_fan`` builds: the validator solves a cone in about dim^2
+#: steps, and the slowest tower admitted, (1,)^15 at 7.4M, takes about 5 s in check --verify.
+FAN_WORK_LIMIT = 10**7
 
 
 class FanError(ValueError):
@@ -46,11 +51,16 @@ class Fan:
     def __post_init__(self):
         if len(self.labels) != len(self.rays):
             raise FanError(f"{len(self.labels)} labels for {len(self.rays)} rays")
-        for lab, ray in zip(self.labels, self.rays):
+        self.index = {}
+        for i, (lab, ray) in enumerate(zip(self.labels, self.rays)):
             if len(ray) != self.dim:
                 raise FanError(f"ray {lab} has {len(ray)} entries, expected dim {self.dim}")
+            for e in ray:
+                if type(e) is not int:
+                    raise FanError(f"ray {lab} has entry {e!r}, not an int")
+            if self.index.setdefault(lab, i) != i:
+                raise FanError(f"label {lab} names rays {self.index[lab]} and {i}")
         ray_indices = frozenset(range(len(self.rays)))
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.ray_cones = [0] * len(self.rays)
         for c, cone in enumerate(self.max_cones):
             for i in cone:
@@ -102,9 +112,14 @@ class WallData:
 
 
 def build_fan(t: GeneralizedBottTower) -> Fan:
+    """The tower's fan; first refuses it if prod(n_l + 1) * dim^2 exceeds FAN_WORK_LIMIT."""
     m = t.num_stages
     dims = t.stage_dims
     n = t.dim
+    cones = prod(nl + 1 for nl in dims)
+    if cones * n * n > FAN_WORK_LIMIT:
+        size = "over 10^3000 cones" if cones >> PRINTABLE_BITS else f"{cones} cones of dimension {n}"
+        raise FanError(f"fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2")
     offsets = [0]
     for nl in dims:
         offsets.append(offsets[-1] + nl)
@@ -180,15 +195,6 @@ def validate_smooth_complete(f: Fan) -> None:
             before &= f.ray_cones[i]
 
 
-def check_ray_limit(nrays: int) -> None:
-    """Refuse fans with more than BRUTE_FORCE_RAY_LIMIT rays, the limit of
-    both primitive-collection searches."""
-    if nrays > BRUTE_FORCE_RAY_LIMIT:
-        raise FanError(
-            f"primitive-collection search refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}"
-        )
-
-
 def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     """All minimal ray sets not contained in any maximal cone, as the
     minimal transversals of the cone complements (Murakami and Uno's MMCS).
@@ -203,11 +209,9 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     its own branch is done, so every collection is found once: in the
     branch of the last of its rays among them.  The recursion is at most
     as deep as the largest collection (dim + 1).  Reads the fan only
-    through ``ray_cones`` and ``cones_containing``, and refuses the same
-    fans as ``primitive_collections_bruteforce``.
+    through ``ray_cones`` and ``cones_containing``.
     """
     nrays = len(f.rays)
-    check_ray_limit(nrays)
     ray_cones = f.ray_cones
     found: list[tuple[int, ...]] = []
 
@@ -238,7 +242,8 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     rays.
     """
     nrays = len(f.rays)
-    check_ray_limit(nrays)
+    if nrays > BRUTE_FORCE_RAY_LIMIT:
+        raise FanError(f"subset scan refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}")
     cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
     full = (1 << nrays) - 1
     found: list[tuple[int, frozenset[int]]] = []

@@ -4,6 +4,7 @@ import pytest
 
 from bottfano import cli
 from bottfano.cli import main, parse_document
+from bottfano.fan import FAN_WORK_LIMIT
 from bottfano.tower import TowerError
 from bottfano.cli import UsageError
 
@@ -137,32 +138,35 @@ class TestCheck:
         assert err.startswith("error:") and err.count("\n") == 1
         assert path in err
 
-    def test_verify_refuses_more_than_24_rays(self, capsys, tmp_path):
-        doc = tmp_path / "big.json"
+    def test_verify_accepts_more_than_24_rays(self, capsys, tmp_path):
+        # 26 rays, more than the subset scan takes; 13^2 = 169 cones, far inside the fan limit
+        doc = tmp_path / "wide.json"
         doc.write_text(json.dumps({"stages": [12, 12], "coefficients": [[[0] * 12]]}))
-        code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
-        assert code == 2
-        assert "refused: 26 rays > limit 24" in err
+        code, report, _ = run_machine(capsys, "check", "--verify", "--input", str(doc))
+        assert code == 0 and report["verified"] is True
 
     def test_verify_refuses_large_fan_before_validating(self, capsys, tmp_path, monkeypatch):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise AssertionError("a refused tower reached the fan")
 
-        monkeypatch.setattr("bottfano.fan.build_fan", fail)
+        monkeypatch.setattr("bottfano.fan.Fan", fail)
         monkeypatch.setattr("bottfano.fan.validate_smooth_complete", fail)
-        zeros = [[[0] * 5] * (j - 1) for j in range(2, 6)]
         documents = [
-            ({"stages": [5] * 5, "coefficients": zeros}, 30),
-            ({"stages": [2000], "coefficients": []}, 2001),
+            ({"stages": [2000], "coefficients": []}, "2001 cones of dimension 2000"),
+            ({"stages": [1] * 40, "coefficients": [[[0]] * (j - 1) for j in range(2, 41)]},
+             "1099511627776 cones of dimension 40"),
+            # 10^4300 cones, one digit past what str converts
+            ({"stages": [10**4300 - 1], "coefficients": []}, "over 10^3000 cones"),
         ]
-        for document, nrays in documents:
+        for document, size in documents:
             doc = tmp_path / "big.json"
             doc.write_text(json.dumps(document))
-            code, _, err = run(capsys, "check", "--verify", "--input", str(doc))
-            assert code == 2
-            assert err == (
-                f"error: primitive-collection search refused: {nrays} rays > limit 24\n"
-            )
+            for command in (["check", "--verify"], ["fan"], ["relations"]):
+                code, _, err = run(capsys, *command, "--input", str(doc))
+                assert code == 2
+                assert err == (
+                    f"error: fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2\n"
+                )
 
     def test_verify_checks_and_recurses_once(self, capsys, monkeypatch):
         from bottfano import tower

@@ -19,6 +19,7 @@ from bottfano import (
     validate_smooth_complete,
     wall_relation,
 )
+from bottfano.fan import FAN_WORK_LIMIT
 from bottfano.lattice import det
 
 from conftest import fano_4stage, hirzebruch, make_tower, not_weak_fano_3stage, random_tower
@@ -122,8 +123,12 @@ class TestValidateSmoothComplete:
      "^maximal cone #2 names ray index True, not an int$"),
     ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (5, "2")],
      "^maximal cone #2 names ray index '2', not an int$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 0), (0, 2)], [(0, 1), (1, 2), (2, 0)],
+     r"^label \(0, 0\) names rays 0 and 1$"),
+    ([(1.0, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)],
+     r"^ray \(0, 0\) has entry 1\.0, not an int$"),
 ], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index", "float-index",
-        "bool-index", "str-index"])
+        "bool-index", "str-index", "duplicate-label", "float-ray-entry"])
 def test_malformed_fan_refused_when_built(rays, labels, cones, message):
     with pytest.raises(FanError, match=message):
         Fan(dim=2, rays=tuple(rays), labels=tuple(labels),
@@ -196,7 +201,7 @@ class TestPrimitiveCollections:
                 self.count()
                 return super().__iter__()
 
-        # (3,)^6 has 24 rays, the most the ray limit accepts, and 4^6 = 4,096 cones
+        # (3,)^6 has 24 rays, the most the subset scan accepts, and 4^6 = 4,096 cones
         t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
         f = build_fan(t)
         f.ray_cones = CountingList(f.ray_cones)
@@ -209,13 +214,25 @@ class TestPrimitiveCollections:
         with pytest.raises(FanError, match="refused"):
             primitive_collections_bruteforce(build_fan(t))
 
-    def test_search_refuses_the_same_fans(self):
+    def test_search_admits_fans_the_subset_scan_refuses(self):
         t = make_tower((12, 12), {(2, 1): (0,) * 12})
         f = build_fan(t)
-        with pytest.raises(FanError, match="refused: 26 rays > limit 24"):
-            primitive_collections(f)
+        assert primitive_collections(f) == {collection_for_stage(t, 1), collection_for_stage(t, 2)}
         with pytest.raises(FanError, match="refused: 26 rays > limit 24"):
             primitive_collections_bruteforce(f)
+
+    def test_largest_one_stage_fan_is_built_and_the_next_refused(self):
+        # the largest n with (n + 1) * n^2 within the limit: 215 for 10^7
+        n = 1
+        while (n + 2) * (n + 1) ** 2 <= FAN_WORK_LIMIT:
+            n += 1
+        with pytest.raises(FanError, match=f"^fan refused: {n + 2} cones of dimension {n + 1} "):
+            build_fan(make_tower((n + 1,)))
+        t = make_tower((n,))
+        f = build_fan(t)
+        assert len(f.max_cones) == n + 1
+        # one collection of all n + 1 rays: the deepest search the limit allows
+        assert primitive_collections(f) == {collection_for_stage(t, 1)}
 
     def test_non_tower_fan_collections_are_the_non_adjacent_pairs(self):
         f = pentagon_fan()
