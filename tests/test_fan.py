@@ -101,11 +101,47 @@ class TestValidateSmoothComplete:
          "facet [(0, 1)] lies in 3 maximal cones, expected 2"),
         ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2,)],
          "maximal cone #2 has 1 rays, expected 2"),
-    ], ids=["facet-in-one-cone", "facet-in-three-cones", "one-ray-cone"])
+        # the cycle through (1,0), (1,2), (-1,0), (0,-1): its first two cones have determinant 2
+        ([(1, 0), (1, 2), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)],
+         "maximal cone #0 is not unimodular"),
+        # cone #2 holds (1,0) and (-1,0)
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (0, 2), (2, 3), (3, 0)],
+         "maximal cone #2 is not unimodular"),
+        # (0, 1) comes first in sorted-ray order, but cone #0 is (1, 2)
+        ([(1, 0), (1, 2), (-1, 0), (0, -1)], [(1, 2), (2, 3), (0, 1), (3, 0)],
+         "maximal cone #0 is not unimodular"),
+        # a cone that is not unimodular comes before a one-ray cone, and after one
+        ([(1, 0), (1, 2), (-1, 0), (0, -1)], [(2, 3), (0, 1), (1,), (3, 0)],
+         "maximal cone #1 is not unimodular"),
+        ([(1, 0), (1, 2), (-1, 0), (0, -1)], [(2, 3), (1,), (0, 1), (3, 0)],
+         "maximal cone #1 has 1 rays, expected 2"),
+        # a cone that is not unimodular is named before a facet in one cone
+        ([(1, 0), (1, 2), (-1, 0), (0, -1)], [(2, 3), (3, 0), (0, 1)],
+         "maximal cone #2 is not unimodular"),
+    ], ids=["facet-in-one-cone", "facet-in-three-cones", "one-ray-cone", "determinant-two",
+            "singular", "lowest-index-not-first-in-order", "unimodularity-before-a-later-size",
+            "size-before-a-later-unimodularity", "cones-before-facets"])
     def test_first_bad_cone_or_facet_named(self, rays, cones, message):
         with pytest.raises(FanError) as excinfo:
             validate_smooth_complete(hand_fan(rays, cones))
         assert str(excinfo.value) == message
+
+    def test_cones_with_no_unit_entry_pass(self):
+        # the cone {(2,3), (3,5)} has determinant 1 and no entry +-1
+        rays = [(1, 0), (1, 1), (2, 3), (3, 5), (1, 2), (0, 1), (-1, 0), (0, -1)]
+        validate_smooth_complete(hand_fan(rays, [(i, (i + 1) % 8) for i in range(8)]))
+
+
+def test_ray_cone_masks_match_the_or_loop(rng):
+    fans = [build_fan(random_tower(rng)) for _ in range(30)]
+    fans.append(build_fan(make_tower((1,) * 12, {
+        (j, l): (0,) for j in range(2, 13) for l in range(1, j)})))
+    for f in fans:
+        masks = [0] * len(f.rays)
+        for c, cone in enumerate(f.max_cones):
+            for i in cone:
+                masks[i] |= 1 << c
+        assert f.ray_cones == masks
 
 
 @pytest.mark.parametrize("rays, labels, cones, message", [
@@ -127,8 +163,15 @@ class TestValidateSmoothComplete:
      r"^label \(0, 0\) names rays 0 and 1$"),
     ([(1.0, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)],
      r"^ray \(0, 0\) has entry 1\.0, not an int$"),
+    ([(1, 0), (0, 1), (-1, -1)], [[0, 0], [0, 1], [0, 2]], [(0, 1), (1, 2), (2, 0)],
+     r"^ray 0 has label \[0, 0\], not a pair of ints$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, [1]), (0, 2)], [(0, 1), (1, 2), (2, 0)],
+     r"^ray 1 has label \(0, \[1\]\), not a pair of ints$"),
+    ([[1, 0], [0, 1], [-1, -1]], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)],
+     r"^ray \(0, 0\) is \[1, 0\], not a tuple$"),
 ], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index", "float-index",
-        "bool-index", "str-index", "duplicate-label", "float-ray-entry"])
+        "bool-index", "str-index", "duplicate-label", "float-ray-entry", "list-label",
+        "list-in-label", "list-ray"])
 def test_malformed_fan_refused_when_built(rays, labels, cones, message):
     with pytest.raises(FanError, match=message):
         Fan(dim=2, rays=tuple(rays), labels=tuple(labels),

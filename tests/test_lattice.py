@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bottfano.fan import FanError, _cone_coordinates, build_fan
-from bottfano.lattice import LatticeError, bareiss, det, mu, nu
+from bottfano import lattice
+from bottfano.lattice import LatticeError, bareiss, det, first_non_unimodular, mu, nu
 
 from conftest import fraction_det, make_tower
 
@@ -180,3 +181,62 @@ class TestBareiss:
             sign = bareiss(a)
             assert sign * a[-1][-1] in (1, -1)
         assert RecordingRow.factors and 0 not in RecordingRow.factors
+
+
+class TestFirstNonUnimodular:
+    def test_unit_and_euclid_pivots(self):
+        # (2,3) and (3,5) hold no entry +-1, so their first column takes Euclid steps
+        assert first_non_unimodular([(2, 3), (3, 5)], [(0, 1)]) is None
+        assert first_non_unimodular([(2, 3), (3, 5), (2, 4)], [(0, 1), (2, 1), (1, 0)]) == 1
+        # gcd 2 in the first column; a zero column; a repeated ray
+        assert first_non_unimodular([(2, 4), (1, 0)], [(1, 0)]) == 0
+        assert first_non_unimodular([(1, 0), (0, 0)], [(0, 1)]) == 0
+        assert first_non_unimodular([(1, 0), (0, 1)], [(0, 1), (1, 1)]) == 1
+
+    def test_no_cones(self):
+        assert first_non_unimodular([(1, 0), (0, 1)], []) is None
+
+    def test_mismatched_sizes_refused(self):
+        with pytest.raises(LatticeError):
+            first_non_unimodular([(1, 0), (0, 1)], [(0, 1), (0,)])
+        with pytest.raises(LatticeError):
+            first_non_unimodular([(1, 0), (0, 1, 0)], [(0, 1)])
+
+    def test_matches_per_cone_fraction_det(self):
+        # few rays in few dimensions, so cones share prefixes and the stack is reused
+        rng = random.Random(1811)
+        entries = (0, 0, 0, 1, 1, -1, -1, 2, -2, 3, 5)
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            rays = [tuple(rng.choice(entries) for _ in range(n))
+                    for _ in range(rng.randint(n, n + 4))]
+            cones = [tuple(rng.sample(range(len(rays)), n)) for _ in range(rng.randint(1, 16))]
+            unimodular = [fraction_det([rays[i] for i in cone]) in (1, -1) for cone in cones]
+            assert first_non_unimodular(rays, cones) == next(
+                (c for c, u in enumerate(unimodular) if not u), None)
+            # most random cones fail, so also check the unimodular ones alone and with one
+            # failing cone at a random index
+            good = [cone for cone, u in zip(cones, unimodular) if u]
+            assert first_non_unimodular(rays, good) is None
+            if len(good) < len(cones):
+                at = rng.randint(0, len(good))
+                failing = cones[unimodular.index(False)]
+                assert first_non_unimodular(rays, good[:at] + [failing] + good[at:]) == at
+
+    def test_each_cone_prefix_is_eliminated_once(self, monkeypatch):
+        steps = 0
+
+        def counting(rows, y):
+            nonlocal steps
+            steps += 1
+            return next_rows(rows, y)
+
+        next_rows = lattice._next_rows
+        monkeypatch.setattr(lattice, "_next_rows", counting)
+        # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one column step per distinct
+        # prefix, where a determinant per cone would take 49,152
+        t = make_tower((1,) * 12, {(j, l): (0,) for j in range(2, 13) for l in range(1, j)})
+        f = build_fan(t)
+        assert first_non_unimodular(f.rays, f.max_cones) is None
+        prefixes = {tuple(sorted(c))[:k] for c in f.max_cones for k in range(1, f.dim + 1)}
+        assert steps == len(prefixes) == 8190
