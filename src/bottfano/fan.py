@@ -16,9 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
+from operator import mul
 
 from .enumeration import PRINTABLE_BITS
-from .lattice import IntVec, bareiss, first_non_unimodular
+from .lattice import IntVec, _next_rows, first_non_unimodular
 from .tower import BVectors, Classification, GeneralizedBottTower, Verdict
 
 RayLabel = tuple[int, int]
@@ -279,20 +280,27 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
 def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int]:
     """Integer x with sum_j x_j * cols[j] = target.
 
-    Bareiss elimination of [cols | target] followed by exact integer
-    back-substitution from the last coordinate; a nonzero remainder means
-    the cone is not unimodular.
+    ``lattice._next_rows`` eliminates the rows of [cols | target] one
+    column at a time and each column keeps its pivot row, whose pivot g is
+    +-1 when the cone is unimodular; back-substitution from the last
+    coordinate then needs no division.  A pivot g = 0 means the cone is
+    singular, and is named first; |g| >= 2 means it is not unimodular, even
+    where the target's coordinates happen to be integral.
     """
     n = len(target)
-    a = [[col[i] for col in cols] + [target[i]] for i in range(n)]
-    if not bareiss(a):
-        raise FanError("singular maximal cone encountered")
+    rows = [[col[i] for col in cols] + [target[i]] for i in range(n)]
+    pivots = []
+    for j in range(n):
+        p, g = _next_rows(rows, [row[j] for row in rows])
+        if not g:
+            raise FanError("singular maximal cone encountered")
+        pivots.append(rows.pop(p))
+    if any(row[j] != 1 and row[j] != -1 for j, row in enumerate(pivots)):
+        raise FanError("non-integral relation coefficient in a smooth fan")
     x = [0] * n
     for i in range(n - 1, -1, -1):
-        row = a[i]
-        x[i], r = divmod(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
-        if r:
-            raise FanError("non-integral relation coefficient in a smooth fan")
+        row = pivots[i]
+        x[i] = row[i] * (row[n] - sum(map(mul, row[i + 1:n], x[i + 1:])))
     return x
 
 
@@ -302,9 +310,9 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     Sums the member rays, locates the unique cone containing the sum in
     its relative interior (first maximal cone, in lexicographic order,
     with all coordinates >= 0), and reads off the strictly positive
-    coordinates as the relation coefficients.  Each cone is solved in
-    integers, so a singular or non-unimodular cone met on the way raises
-    FanError.
+    coordinates as the relation coefficients.  Each cone is solved by
+    ``_cone_coordinates``, so a singular or non-unimodular cone met on the
+    way raises FanError, even one in which the sum has integral coordinates.
     """
     members = frozenset(p)
     for lab in members:
@@ -397,10 +405,12 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     tau_p consists of u_l^k (l < p, k >= 1), u_p^1 ... u_p^{n_p - 1} and,
     for each q, every u_{p+q}^k with k != i_{p,q}.  The ray of the second
     adjacent maximal cone that is not in the first is solved in the first
-    cone's basis, as in ``primitive_relation``; the relation is +1 on that
-    ray and minus its coordinates on the first cone's rays.  It is checked
-    to sum to zero, and to be +1 on the first cone's ray outside the wall
-    (the two cones lie on opposite sides of it), before it is returned.
+    cone's basis by ``_cone_coordinates``, as in ``primitive_relation``, so
+    a first cone that is singular or not unimodular raises FanError.  The
+    relation is +1 on that ray and minus its coordinates on the first
+    cone's rays.  It is checked to sum to zero, and to be +1 on the first
+    cone's ray outside the wall (the two cones lie on opposite sides of
+    it), before it is returned.
     """
     m = t.num_stages
     if not 1 <= p <= m:

@@ -1,5 +1,7 @@
-"""Exact integer linear algebra: vectors, Bareiss elimination, determinants,
-and a unimodularity test that shares one elimination across many cones.
+"""Exact integer linear algebra: vectors, and one integer elimination,
+``_next_rows``, by Euclid row steps.  It serves the determinant, the cone
+solves of ``fan``, and a unimodularity test that shares one elimination
+across many cones.
 
 Vectors are tuples of Python ints and matrices are sequences of
 equal-length integer rows.  Python ints are arbitrary precision, so all
@@ -32,87 +34,18 @@ def nu(x: Sequence[int]) -> int:
     return sum(x) - (len(x) + 1) * mu(x)
 
 
-def bareiss(a: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination, in place, over the first n columns
-    of the n-row integer matrix ``a`` (n <= row length).
-
-    Column k pivots on a row whose entry there is 1 or -1 if one exists,
-    else on the first nonzero entry; a -1 pivot row is replaced by its
-    negation.  Swapping and negating rows before they pivot is plain
-    Bareiss on a row-permuted, row-negated matrix, so every division stays
-    exact.  After a unit pivot that follows a unit pivot (or starts the
-    matrix), rows with a zero in the pivot column are left alone and the
-    others become ``x - fac * y``; any other step is the usual Bareiss
-    update.
-
-    Afterwards ``a`` is upper triangular in those columns, every entry is
-    still an integer, and the remaining columns have undergone the same
-    row operations (swaps and negations included).  Returns the sign s with
-    ``s * a[n-1][n-1]`` equal to the determinant of the leading n x n block,
-    counting both row swaps and row negations, or 0 (leaving ``a`` part-way)
-    if the block is singular.
-    """
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = -1
-        for i in range(k, n):
-            e = a[i][k]
-            if e == 1 or e == -1:
-                p = i
-                break
-            if e and p < 0:
-                p = i
-        if p < 0:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        rowk = a[k]
-        piv = rowk[k]
-        if piv == -1:
-            a[k] = rowk = [-y for y in rowk]
-            sign = -sign
-            piv = 1
-        for rowi in a[k + 1:]:
-            fac = rowi[k]
-            if fac == 0 and piv == prev:
-                continue  # the update below would leave the row unchanged
-            if piv == prev == 1:
-                rowi[k + 1:] = [x - fac * y for x, y in zip(rowi[k + 1:], rowk[k + 1:])]
-            else:
-                # exact division: Bareiss invariant guarantees divisibility
-                rowi[k + 1:] = [
-                    (x * piv - fac * y) // prev for x, y in zip(rowi[k + 1:], rowk[k + 1:])
-                ]
-            rowi[k] = 0
-        prev = piv
-    return sign
-
-
-def det(m: IntMat) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise LatticeError("det: square matrix required")
-    a = [list(row) for row in m]
-    sign = bareiss(a)
-    return sign * a[n - 1][n - 1] if sign else 0
-
-
-def _next_rows(rows: list[list[int]], y: list[int]) -> list[list[int]] | None:
-    """Rows k+1.. of T_{k+1} from rows k.. of T_k and y = those rows times
-    ray k, or None if gcd(y) != 1.
+def _next_rows(rows: list[list[int]], y: list[int]) -> tuple[int, int]:
+    """Integer Euclid steps on ``rows`` and y = ``rows`` times a column,
+    until y[p] = g = +-gcd(y) is the one nonzero entry of y; returns (p, g),
+    with g = 0 when y = 0.
 
     Pivots on a +-1 in y if there is one, else on its smallest nonzero
     entry; each other row loses the multiple of the pivot row that leaves
     its entry of y reduced mod the pivot (exactly 0 under a +-1 pivot).
-    These are integer Euclid steps, repeated until one entry of y, the gcd,
-    is left.  Rows with a zero in y are kept as they are, and no row is
-    written to.
+    Every step is unimodular, so ``rows`` keeps its determinant.  The list
+    ``rows`` and ``y`` change in place, but no row is written to: a changed
+    row is replaced by a new list, and rows with a zero in y are kept.
     """
-    rows = list(rows)
     while True:
         if 1 in y:
             p = y.index(1)
@@ -121,7 +54,7 @@ def _next_rows(rows: list[list[int]], y: list[int]) -> list[list[int]] | None:
         else:
             p = min((i for i, v in enumerate(y) if v), key=lambda i: abs(y[i]), default=-1)
             if p < 0:
-                return None  # y = 0: ray k lies in the span of the rays before it
+                return 0, 0
         yp, prow = y[p], rows[p]
         y[p] = 0
         if any(y):
@@ -130,12 +63,28 @@ def _next_rows(rows: list[list[int]], y: list[int]) -> list[list[int]] | None:
                     q = v // yp
                     rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
                     y[i] = v - q * yp
-        if yp == 1 or yp == -1:
-            del rows[p]
-            return rows
-        if not any(y):
-            return None  # the gcd |yp| is at least 2
+            if yp != 1 and yp != -1 and any(y):
+                y[p] = yp
+                continue  # a remainder is left: pivot again on the smallest entry
         y[p] = yp
+        return p, yp
+
+
+def det(m: IntMat) -> int:
+    """Exact determinant: ``_next_rows`` on each column of the rows not yet
+    pivoted, times (-1)^p as pivot row p moves to the top of those rows."""
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise LatticeError("det: square matrix required")
+    rows = [list(row) for row in m]
+    d = 1
+    for j in range(n):
+        p, g = _next_rows(rows, [row[j] for row in rows])
+        if not g:
+            return 0
+        d *= -g if p & 1 else g
+        del rows[p]
+    return d
 
 
 def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | None:
@@ -170,13 +119,14 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
             k += 1
         del stack[k + 1:]
         while k < n:
-            rows = stack[k]
+            rows = list(stack[k])
             y = [0] * len(rows)
             for j, e in sparse[cone[k]]:
                 y = [a + row[j] * e for a, row in zip(y, rows)]
-            rows = _next_rows(rows, y)
-            if rows is None:
+            p, g = _next_rows(rows, y)
+            if g != 1 and g != -1:
                 break
+            del rows[p]
             stack.append(rows)
             k += 1
         if k < n and (bad is None or c < bad):

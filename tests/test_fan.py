@@ -339,6 +339,12 @@ class TestPrimitiveRelation:
         assert det([f.rays[0], f.rays[1]]) == 2
         with pytest.raises(FanError, match="non-integral|singular"):
             primitive_relation(f, frozenset({(0, 1), (0, 3)}))
+        # here the sum (0,2) = -(1,0) + (1,2) has integral coordinates in that first cone,
+        # which is still refused; the cone {(1,2), (0,1)} after it would give degree 0
+        f = hand_fan([(1, 0), (1, 2), (-1, 0), (0, -1), (0, 1)],
+                     [(0, 1), (1, 4), (4, 2), (2, 3), (3, 0)])
+        with pytest.raises(FanError, match="non-integral"):
+            primitive_relation(f, frozenset({(0, 1), (0, 2)}))
 
     def test_singular_cone(self):
         f = hand_fan([(1, 0), (-1, 0), (0, 1), (1, -1)],

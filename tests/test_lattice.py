@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bottfano.fan import FanError, _cone_coordinates, build_fan
 from bottfano import lattice
-from bottfano.lattice import LatticeError, bareiss, det, first_non_unimodular, mu, nu
+from bottfano.lattice import LatticeError, det, first_non_unimodular, mu, nu
 
 from conftest import fraction_det, make_tower
 
@@ -77,6 +77,8 @@ class TestDet:
 
     def test_singular(self):
         assert det([[1, 2], [2, 4]]) == 0
+        assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+        assert det([[2, -3, 5], [4, 1, 7], [6, -2, 12]]) == 0
 
     def test_matches_leibniz_on_random_small_matrices(self):
         rng = random.Random(7)
@@ -92,44 +94,51 @@ class TestDet:
             assert det(m) == cofactor_det(m)
 
     def test_matches_leibniz_on_sparse_matrices(self):
-        # zero entries below the pivot take the row-skipping path
+        # rows with a zero in the pivot column are left alone
         rng = random.Random(13)
         for _ in range(300):
             n = rng.randint(1, 4)
             m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
             assert det(m) == cofactor_det(m)
 
+    def test_matches_fraction_reference_on_large_entries(self):
+        # Euclid steps can make entries grow, so start them large
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(n)]
+            d = det(m)
+            assert type(d) is int and d == fraction_det(m)
+
+    def test_row_permutations_of_the_identity(self):
+        signs = set()
+        for perm in permutations(range(4)):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            sign = -1 if inversions % 2 else 1
+            assert det([[int(j == i) for j in range(4)] for i in perm]) == sign
+            signs.add(sign)
+        assert signs == {1, -1}
+
+
+def random_unimodular_columns(rng, n):
+    """The n columns of the identity under random integer column additions,
+    swaps and negations: a unimodular cone, often with no +-1 in a column."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+        if rng.random() < 0.5:
+            cols[i], cols[j] = cols[j], cols[i]
+        if rng.random() < 0.5:
+            cols[i] = [-e for e in cols[i]]
+    return [tuple(col) for col in cols]
+
 
 class TestBareiss:
-    def test_augmented_column_keeps_the_solution(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            x = [rng.randint(-5, 5) for _ in range(n)]
-            a = [row + [sum(c * e for c, e in zip(row, x))] for row in m]
-            sign = bareiss(a)
-            if not sign:
-                assert det(m) == 0
-                continue
-            assert sign * a[n - 1][n - 1] == det(m)
-            for i, row in enumerate(a):
-                assert all(e == 0 for e in row[:i])
-                assert sum(c * e for c, e in zip(row[:n], x)) == row[n]
-
-
-    def test_minus_one_pivot_row_is_negated(self):
-        a = [[-1, 2, 5], [3, 1, 4]]
-        sign = bareiss(a)
-        assert a[0] == [1, -2, -5]
-        assert sign * a[1][1] == det([[-1, 2], [3, 1]]) == -7
-
-    def test_unit_pivot_below_a_non_unit_diagonal(self):
-        a = [[2, 1], [1, 1]]
-        sign = bareiss(a)
-        # one swap and one negation (of the -1 left in the last row)
-        assert a == [[1, 1], [0, 1]] and sign == 1
-        assert sign * a[1][1] == det([[2, 1], [1, 1]]) == 1
+    """Elimination on columns with no +-1 entry, and with unit and non-unit
+    pivots mixed."""
 
     @pytest.mark.parametrize("m", [
         [[2, 3], [3, 5]],
@@ -142,14 +151,40 @@ class TestBareiss:
 
     @pytest.mark.parametrize("target", [(1, 0), (0, 1), (-4, 7)])
     def test_cone_coordinates_with_no_unit_entry_in_a_column(self, target):
-        cols = [(2, 3), (3, 5)]
-        x = _cone_coordinates(cols, target)
-        assert all(type(c) is int for c in x)
-        assert tuple(sum(c * col[i] for c, col in zip(x, cols)) for i in range(2)) == target
+        # the cone {(2,3), (3,5)}, then random unimodular cones of 1 to 6 rays with random
+        # targets, drawn from a seed per target
+        cases = [([(2, 3), (3, 5)], target)]
+        rng = random.Random(str(target))
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            cases.append((random_unimodular_columns(rng, n),
+                          tuple(rng.randint(-50, 50) for _ in range(n))))
+        assert sum(any(1 not in col and -1 not in col for col in cols) for cols, _ in cases) > 100
+        for cols, t in cases:
+            assert fraction_det(cols) in (1, -1)
+            x = _cone_coordinates(cols, t)
+            assert all(type(c) is int for c in x)
+            assert tuple(sum(c * col[i] for c, col in zip(x, cols)) for i in range(len(t))) == t
 
     def test_cone_coordinates_refuse_a_non_unimodular_cone(self):
         with pytest.raises(FanError, match="non-integral"):
             _cone_coordinates([(2, 4), (3, 5)], (1, 0))
+        # determinant 2, though (2,2) = (1,0) + (1,2) has integral coordinates
+        with pytest.raises(FanError, match="non-integral"):
+            _cone_coordinates([(1, 0), (1, 2)], (2, 2))
+        # random cones: a singular one is named as such, any other that is not unimodular
+        # is refused even where the target's coordinates happen to be integral
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            cols = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+            d = fraction_det(cols)
+            if d in (1, -1):
+                continue
+            x = [rng.randint(-5, 5) for _ in range(n)]
+            target = tuple(sum(c * col[i] for c, col in zip(x, cols)) for i in range(n))
+            with pytest.raises(FanError, match="singular" if d == 0 else "non-integral"):
+                _cone_coordinates(cols, target)
 
     def test_matches_fraction_reference_up_to_7x7(self):
         # mostly 0 and +-1 entries, so unit and non-unit pivots mix
@@ -160,27 +195,6 @@ class TestBareiss:
             m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
             d = det(m)
             assert type(d) is int and d == fraction_det(m)
-
-    def test_unimodular_cones_rewrite_no_row_with_a_zero_pivot_column(self):
-        class RecordingRow(list):
-            # a rewrite at step k writes row[k + 1:] while row[k] still
-            # holds the factor it eliminates
-            factors = []
-
-            def __setitem__(self, key, value):
-                if isinstance(key, slice):
-                    RecordingRow.factors.append(self[key.start - 1])
-                super().__setitem__(key, value)
-
-        # the all-zero (3,)^6 tower mixes u_l^0 = -(e_l^1 + e_l^2 + e_l^3)
-        # with unit vectors, so its cones alternate 1 and -1 entries
-        t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
-        f = build_fan(t)
-        for cone in f.max_cones:
-            a = [RecordingRow(f.rays[i]) for i in sorted(cone)]
-            sign = bareiss(a)
-            assert sign * a[-1][-1] in (1, -1)
-        assert RecordingRow.factors and 0 not in RecordingRow.factors
 
 
 class TestFirstNonUnimodular:
@@ -229,7 +243,11 @@ class TestFirstNonUnimodular:
         def counting(rows, y):
             nonlocal steps
             steps += 1
-            return next_rows(rows, y)
+            # rows with a zero in y are left as the same objects
+            kept = [row for row, v in zip(rows, y) if not v]
+            result = next_rows(rows, y)
+            assert all(any(row is r for r in rows) for row in kept)
+            return result
 
         next_rows = lattice._next_rows
         monkeypatch.setattr(lattice, "_next_rows", counting)
