@@ -27,7 +27,8 @@ RayLabel = tuple[int, int]
 BRUTE_FORCE_RAY_LIMIT = 24
 
 #: Largest cones * dim^2 that ``build_fan`` builds.  The slowest tower admitted, (1,)^15 at
-#: 7.4M, takes 1-4 s and about 60 MB in check --verify on a 2-core x86-64 host.
+#: 7.4M, takes 1.2-1.7 s and about 60 MB in check --verify on a 2-core x86-64 host, with
+#: every coefficient 0 or every coefficient -1.
 FAN_WORK_LIMIT = 10**7
 
 
@@ -285,9 +286,12 @@ def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int]:
     +-1 when the cone is unimodular; back-substitution from the last
     coordinate then needs no division.  A pivot g = 0 means the cone is
     singular, and is named first; |g| >= 2 means it is not unimodular, even
-    where the target's coordinates happen to be integral.
+    where the target's coordinates happen to be integral.  A cone of other
+    than ``len(target)`` rays is refused before any elimination.
     """
     n = len(target)
+    if len(cols) != n:
+        raise FanError(f"maximal cone has {len(cols)} rays, expected {n}")
     rows = [[col[i] for col in cols] + [target[i]] for i in range(n)]
     pivots = []
     for j in range(n):
@@ -307,12 +311,23 @@ def _cone_coordinates(cols: list[IntVec], target: IntVec) -> list[int]:
 def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionData:
     """Relation and degree of a primitive collection.
 
-    Sums the member rays, locates the unique cone containing the sum in
-    its relative interior (first maximal cone, in lexicographic order,
-    with all coordinates >= 0), and reads off the strictly positive
-    coordinates as the relation coefficients.  Each cone is solved by
-    ``_cone_coordinates``, so a singular or non-unimodular cone met on the
-    way raises FanError, even one in which the sum has integral coordinates.
+    Sums the member rays and walks the maximal cones toward the sum
+    (Devillers, Pion and Teillaud, "Walking in a triangulation", 2002).
+    The walk starts at cone 0 and solves the sum in each cone it reaches
+    with ``_cone_coordinates``.  Once every coordinate is >= 0 the strictly
+    positive ones are the relation coefficients.  Otherwise it steps across
+    the facet opposite the most negative coordinate (the first on ties) to
+    an unvisited cone on that facet; when there is none, as in a fan that
+    is not complete or a walk that turns back on itself, it goes on at the
+    lowest-indexed unvisited cone.  So no cone is solved twice, and at
+    worst every cone is solved once, as in a scan in index order.
+
+    Which cone holds the sum does not change the result: in a simplicial
+    unimodular fan every maximal cone that holds it gives it the same
+    positive coordinates, those of the one face that has it in its
+    relative interior.  Every cone reached is solved, so a singular or
+    non-unimodular cone on the way raises FanError, even one in which the
+    sum has integral coordinates.
     """
     members = frozenset(p)
     for lab in members:
@@ -330,14 +345,21 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     target = tuple(s)
     if all(e == 0 for e in target):
         return PrimitiveCollectionData(members=members, relation_rhs={}, degree=len(members))
-    for cone in f.max_cones:
-        idx = sorted(cone)
+    unvisited = (1 << len(f.max_cones)) - 1
+    c = 0
+    while unvisited:
+        unvisited ^= 1 << c
+        idx = sorted(f.max_cones[c])
         coords = _cone_coordinates([f.rays[i] for i in idx], target)
-        if min(coords) >= 0:
-            rhs = {f.labels[i]: c for i, c in zip(idx, coords) if c > 0}
+        low = min(coords)
+        if low >= 0:
+            rhs = {f.labels[i]: x for i, x in zip(idx, coords) if x > 0}
             return PrimitiveCollectionData(
                 members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
             )
+        d = coords.index(low)
+        step = f.cones_containing(idx[:d] + idx[d + 1:]) & unvisited or unvisited
+        c = (step & -step).bit_length() - 1
     raise FanError("no maximal cone contains the ray sum; fan is not complete")
 
 

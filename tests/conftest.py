@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from bottfano import GeneralizedBottTower
+from bottfano import GeneralizedBottTower, PrimitiveCollectionData
+from bottfano.fan import FanError, _cone_coordinates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -29,6 +30,26 @@ def fraction_det(m) -> int:
                 a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
     assert d.denominator == 1
     return int(d)
+
+
+def scan_primitive_relation(f, p) -> PrimitiveCollectionData:
+    """Relation of a primitive collection by the index-order scan: the first
+    maximal cone in which the ray sum has coordinates all >= 0.  A
+    reference for the walk of ``bottfano.fan.primitive_relation``; it
+    assumes ``p`` is a primitive collection of ``f``."""
+    members = frozenset(p)
+    target = tuple(map(sum, zip(*(f.ray(lab) for lab in members))))
+    if not any(target):
+        return PrimitiveCollectionData(members=members, relation_rhs={}, degree=len(members))
+    for cone in f.max_cones:
+        idx = sorted(cone)
+        coords = _cone_coordinates([f.rays[i] for i in idx], target)
+        if min(coords) >= 0:
+            rhs = {f.labels[i]: c for i, c in zip(idx, coords) if c > 0}
+            return PrimitiveCollectionData(
+                members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
+            )
+    raise FanError("no maximal cone contains the ray sum; fan is not complete")
 
 
 def make_tower(stage_dims, coeffs=None) -> GeneralizedBottTower:

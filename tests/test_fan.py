@@ -19,10 +19,18 @@ from bottfano import (
     validate_smooth_complete,
     wall_relation,
 )
+from bottfano import fan as fan_module
 from bottfano.fan import FAN_WORK_LIMIT
 from bottfano.lattice import det
 
-from conftest import fano_4stage, hirzebruch, make_tower, not_weak_fano_3stage, random_tower
+from conftest import (
+    fano_4stage,
+    hirzebruch,
+    make_tower,
+    not_weak_fano_3stage,
+    random_tower,
+    scan_primitive_relation,
+)
 
 
 def hand_fan(rays, cones) -> Fan:
@@ -33,6 +41,15 @@ def hand_fan(rays, cones) -> Fan:
         labels=tuple((0, i) for i in range(len(rays))),
         max_cones=tuple(frozenset(c) for c in cones),
     )
+
+
+def log_solves(monkeypatch) -> list:
+    """Patch ``fan._cone_coordinates`` to log the columns of each cone it solves."""
+    solved = []
+    solve = fan_module._cone_coordinates
+    monkeypatch.setattr(fan_module, "_cone_coordinates",
+                        lambda cols, target: solved.append(cols) or solve(cols, target))
+    return solved
 
 
 def pentagon_fan() -> Fan:
@@ -361,6 +378,65 @@ class TestPrimitiveRelation:
         f = build_fan(hirzebruch(0))
         with pytest.raises(FanError, match="not minimal"):
             primitive_relation(f, frozenset({(1, 0), (1, 1), (2, 0), (2, 1)}))
+
+    @pytest.mark.parametrize("coeff_bound", [2, 4])
+    def test_walk_matches_the_scan_on_random_towers(self, rng, coeff_bound):
+        for _ in range(40):
+            f = build_fan(random_tower(rng, coeff_bound=coeff_bound))
+            validate_smooth_complete(f)
+            for pc in primitive_collections(f):
+                assert primitive_relation(f, pc) == scan_primitive_relation(f, pc)
+
+    def test_walk_matches_the_scan_on_hand_fans(self, monkeypatch):
+        rays = [(1, 0), (1, 1), (2, 3), (3, 5), (1, 2), (0, 1), (-1, 0), (0, -1)]
+        fans = [
+            pentagon_fan(),
+            hand_fan(rays, [(i, (i + 1) % 8) for i in range(8)]),
+            # the pentagon with its cones out of angular order
+            hand_fan(pentagon_fan().rays, [(0, 1), (3, 4), (4, 0), (2, 3), (1, 2)]),
+        ]
+        for f in fans:
+            validate_smooth_complete(f)
+            for pc in primitive_collections(f):
+                assert primitive_relation(f, pc) == scan_primitive_relation(f, pc)
+        # in the reordered pentagon the sum (0,1) of (1,1) and (-1,0) is the ray (0,1),
+        # held by the cones {(1,1), (0,1)} and {(0,1), (-1,0)}: the scan reaches the second
+        # one first, and the walk steps from cone #0 across (1,1) to the first
+        f = fans[2]
+        pc = frozenset({(0, 1), (0, 3)})
+        solved = log_solves(monkeypatch)
+        pr = primitive_relation(f, pc)
+        assert solved[-1] == [(1, 1), (0, 1)]
+        assert pr == scan_primitive_relation(f, pc)
+        assert pr.relation_rhs == {(0, 2): 1} and pr.degree == 1
+
+    def test_solves_few_cones_on_the_all_minus_one_line_tower(self, monkeypatch):
+        # the index-order scan made 2,058 solves here, the walk makes 22
+        m = 12
+        t = make_tower((1,) * m, {(j, l): (-1,) for j in range(2, m + 1) for l in range(1, j)})
+        f = build_fan(t)
+        solved = log_solves(monkeypatch)
+        assert batyrev_classify(f).verdict is classify(t).verdict
+        assert len(solved) <= 40
+
+    def test_sum_in_no_cone_visits_every_cone(self, monkeypatch):
+        # the cone {(0,-1), (1,0)} is missing, so the sum (1,-1) lies in no cone; from cone #0
+        # and from cone #2 the step across the negative coordinate leads to no unvisited cone
+        f = hand_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3)])
+        solved = log_solves(monkeypatch)
+        with pytest.raises(FanError) as excinfo:
+            primitive_relation(f, frozenset({(0, 0), (0, 3)}))
+        assert str(excinfo.value) == "no maximal cone contains the ray sum; fan is not complete"
+        assert solved == [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)]]
+
+    def test_wrongly_sized_cone_named(self):
+        # the first cone has three rays: its solve once returned the coordinates of the
+        # third ray, not of the sum (0,1)
+        f = hand_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+                     [(0, 1, 2), (2, 3), (3, 4), (4, 0)])
+        with pytest.raises(FanError) as excinfo:
+            primitive_relation(f, frozenset({(0, 1), (0, 3)}))
+        assert str(excinfo.value) == "maximal cone has 3 rays, expected 2"
 
 
 class TestExpectedPrimitiveRelation:

@@ -186,6 +186,16 @@ class TestBareiss:
             with pytest.raises(FanError, match="singular" if d == 0 else "non-integral"):
                 _cone_coordinates(cols, target)
 
+    @pytest.mark.parametrize("cols, message", [
+        # three columns once gave [5, 7], the solve for (5,7) and not for the target
+        ([(1, 0), (0, 1), (5, 7)], "maximal cone has 3 rays, expected 2"),
+        ([(1, 0)], "maximal cone has 1 rays, expected 2"),
+    ], ids=["one-column-too-many", "one-column-too-few"])
+    def test_cone_coordinates_refuse_a_wrongly_sized_cone(self, cols, message):
+        with pytest.raises(FanError) as excinfo:
+            _cone_coordinates(cols, (1, 1))
+        assert str(excinfo.value) == message
+
     def test_matches_fraction_reference_up_to_7x7(self):
         # mostly 0 and +-1 entries, so unit and non-unit pivots mix
         rng = random.Random(19)
