@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, prod
 from operator import mul
 
@@ -27,7 +27,7 @@ RayLabel = tuple[int, int]
 BRUTE_FORCE_RAY_LIMIT = 24
 
 #: Largest cones * dim^2 that ``build_fan`` builds.  The slowest tower admitted, (1,)^15 at
-#: 7.4M, takes 1.2-1.7 s and about 60 MB in check --verify on a 2-core x86-64 host, with
+#: 7.4M, takes 1.1-1.5 s and about 60 MB in check --verify on a 2-core x86-64 host, with
 #: every coefficient 0 or every coefficient -1.
 FAN_WORK_LIMIT = 10**7
 
@@ -42,8 +42,10 @@ class Fan:
 
     ``labels[i]`` is the (l, k) pair of ray i; ``max_cones`` are frozensets
     of ray indices, one cone per lexicographic choice (k_1, ..., k_m) of
-    the omitted ray in each stage.  Bit c of ``ray_cones[i]`` is set iff
-    ``max_cones[c]`` contains ray i.
+    the omitted ray in each stage.  Two bitmask indexes are built from
+    ``max_cones`` alone: bit c of ``ray_cones[i]`` is set iff
+    ``max_cones[c]`` contains ray i, and bit i of ``cone_masks[c]`` is set
+    iff ``max_cones[c]`` contains ray i.
     """
 
     dim: int
@@ -75,6 +77,8 @@ class Fan:
         # b"0" so that a ray in no cone parses as 0; one linear pass, then one parse per ray
         n = len(self.max_cones)
         digits = [bytearray(b"0" * (n + 1)) for _ in self.rays]
+        bits = [1 << i for i in range(len(self.rays))]
+        self.cone_masks = []
         for c, cone in enumerate(self.max_cones):
             for i in cone:
                 # exactly int: 1.0 and True would pass the range test as ray 1
@@ -84,8 +88,11 @@ class Fan:
                 raise FanError(
                     f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{len(self.rays) - 1}"
                 )
+            mask = 0
             for i in cone:
                 digits[i][n - c] = 49  # ord("1")
+                mask |= bits[i]
+            self.cone_masks.append(mask)
         self.ray_cones = [int(d, 2) for d in digits]
 
     def ray(self, label: RayLabel) -> IntVec:
@@ -157,12 +164,15 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
             labels.append((l, k))
             rays.append(tuple(ek))
 
-    all_indices = frozenset(range(len(rays)))
-    max_cones = []
-    for choice in product(*(range(nl + 1) for nl in dims)):
-        # ray (l, k) follows n_i + 1 rays for each stage i < l, then k more
-        omitted = {offsets[l - 1] + l - 1 + kl for l, kl in enumerate(choice, start=1)}
-        max_cones.append(all_indices - omitted)
+    # ray (l, k) follows n_i + 1 rays for each stage i < l, then k more; kept[l - 1][k] is
+    # stage l's rays less (l, k), so the product runs over the choices in lexicographic order
+    kept = []
+    for l, nl in enumerate(dims, start=1):
+        stage = tuple(range(offsets[l - 1] + l - 1, offsets[l] + l))
+        kept.append([stage[:k] + stage[k + 1:] for k in range(nl + 1)])
+    # a list, not a generator: tuple() grows a tuple read from an iterator by resizing, and
+    # CPython's per-size free lists then keep the short ones, which raised peak memory
+    max_cones = [frozenset(chain.from_iterable(parts)) for parts in product(*kept)]
     return Fan(
         dim=n,
         rays=tuple(rays),
@@ -179,8 +189,8 @@ def validate_smooth_complete(f: Fan) -> None:
     the wrong number of rays or is not unimodular), then facets (in the
     order they first appear).  Unimodularity comes from one exact integer
     elimination shared by all the cones, ``lattice.first_non_unimodular``;
-    facets are counted as cone bitmasks with one ray cleared, one dict
-    entry per facet.
+    facets are counted as ``Fan.cone_masks`` entries with one ray cleared,
+    one dict entry per facet.
 
     These are necessary for a smooth complete fan, not sufficient: nothing
     here proves completeness, and a cycle of cones that winds twice round
@@ -204,8 +214,7 @@ def validate_smooth_complete(f: Fan) -> None:
         raise FanError(f"maximal cone #{sized} has {len(cones[sized])} rays, expected {f.dim}")
     # every cone has dim rays, so a facet lies in a cone iff it is that cone less one ray
     bits = [1 << i for i in range(len(f.rays))]
-    masks = [sum(bits[i] for i in cone) for cone in cones]
-    facets = Counter(mask ^ bits[i] for mask, cone in zip(masks, cones) for i in cone)
+    facets = Counter(mask ^ bits[i] for mask, cone in zip(f.cone_masks, cones) for i in cone)
     for key, count in facets.items():
         if count != 2:
             facet = sorted(lab for lab, bit in zip(f.labels, bits) if key & bit)
@@ -221,15 +230,17 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
     masks, is 0.  ``crit[d]`` holds the cones that contain every member
     but ``members[d]`` and not ``members[d]``; the set is minimal iff each
     of them is nonzero.  While ``face`` is nonzero the search branches only
-    on the candidate rays outside its lowest cone, since one of them must
-    join.  These rays leave the candidates first, and each comes back once
-    its own branch is done, so every collection is found once: in the
-    branch of the last of its rays among them.  The recursion is at most
-    as deep as the largest collection (dim + 1).  Reads the fan only
-    through ``ray_cones`` and ``cones_containing``.
+    on the candidate rays outside its lowest cone, ``cand & ~cone_masks[c]``,
+    since one of them must join; where ``face`` is 0 (the root of a fan
+    with no cones) it branches on every candidate.  The branch rays are
+    taken lowest first.  They leave the candidates first, and each comes
+    back once its own branch is done, so every collection is found once: in
+    the branch of the last of its rays among them.  The recursion is at
+    most as deep as the largest collection (dim + 1).  Reads the fan only
+    through ``ray_cones``, ``cone_masks`` and ``cones_containing``.
     """
-    nrays = len(f.rays)
     ray_cones = f.ray_cones
+    cone_masks = f.cone_masks
     found: list[tuple[int, ...]] = []
 
     def search(members: tuple[int, ...], face: int, crit: list[int], cand: int) -> None:
@@ -237,16 +248,21 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
         if not face and members:
             found.append(members)
             return
-        low = face & -face
-        branch = [j for j in range(nrays) if cand >> j & 1 and not ray_cones[j] & low]
-        cand &= ~sum(1 << j for j in branch)
-        for j in branch:
+        branch = cand & ~cone_masks[(face & -face).bit_length() - 1] if face else cand
+        cand ^= branch
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            j = bit.bit_length() - 1
             mask = ray_cones[j]
             if all(c & mask for c in crit):
                 search((*members, j), face & mask, [c & mask for c in crit] + [face & ~mask], cand)
-            cand |= 1 << j
+            cand |= bit
 
-    search((), f.cones_containing(()), [], (1 << nrays) - 1)
+    search((), f.cones_containing(()), [], (1 << len(f.rays)) - 1)
+    # search refers to itself through its closure: break that cycle, so that its masks are
+    # freed now and not at the collector's next full pass
+    del search
     return {f.to_labels(idx) for idx in found}
 
 

@@ -87,6 +87,14 @@ def det(m: IntMat) -> int:
     return d
 
 
+def _dot(row: Sequence[int], entries: Sequence[tuple[int, int]]) -> int:
+    """Sum of row[j] * e over the (j, e) nonzero entries of a sparse vector."""
+    d = 0
+    for j, e in entries:
+        d += row[j] * e
+    return d
+
+
 def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | None:
     """Index of the lowest-indexed cone whose rays are not a basis of Z^n,
     or None if every cone's rays are.
@@ -94,13 +102,16 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     Each cone lists n indices into ``rays``, and each ray has n integer
     entries.  One exact elimination serves all the cones: they are
     taken in the order of their sorted index tuples, and a stack holds,
-    for k = 0, 1, ..., the rows k..n-1 of an integer unimodular row
+    for k = 0, 1, ..., n-1, the rows k..n-1 of an integer unimodular row
     transform T_k (T_0 = I) that brings the first k rays of the current cone to unit
     upper-triangular form; no later step reads rows 0..k-1.  A cone pops
     the stack back to its common prefix with the previous cone and
     eliminates only its new rays: y = T_k * ray over the ray's nonzero
-    entries, then ``_next_rows``.  The rays form a basis iff every y[k:]
-    has gcd 1, so a cone fails at its first column whose gcd is not 1.
+    entries, then ``_next_rows``; the first k rays form part of a basis iff
+    every y[k:] has gcd 1.  The one row of T_{n-1} is a primitive normal of
+    the first n-1 rays, so the last ray needs no elimination: the cone is
+    unimodular iff ``_dot`` of that row and the last ray is +-1.  A cone
+    fails at its first column whose gcd, or whose last dot, is not +-1.
     """
     keyed = sorted((tuple(sorted(cone)), c) for c, cone in enumerate(cones))
     if not keyed:
@@ -118,17 +129,24 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
         while k < top and cone[k] == prev[k]:
             k += 1
         del stack[k + 1:]
-        while k < n:
+        while k < n - 1:
             rows = list(stack[k])
-            y = [0] * len(rows)
-            for j, e in sparse[cone[k]]:
-                y = [a + row[j] * e for a, row in zip(y, rows)]
+            entries = sparse[cone[k]]
+            if len(entries) == 1:
+                ((j, e),) = entries
+                y = [row[j] * e for row in rows]
+            else:
+                y = [0] * len(rows)
+                for j, e in entries:
+                    y = [a + row[j] * e for a, row in zip(y, rows)]
             p, g = _next_rows(rows, y)
             if g != 1 and g != -1:
                 break
             del rows[p]
             stack.append(rows)
             k += 1
+        if k == n - 1 and _dot(stack[k][0], sparse[cone[k]]) in (1, -1):
+            k = n
         if k < n and (bad is None or c < bad):
             bad = c
         prev = cone

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from operator import mul
 
 import pytest
 
@@ -21,6 +22,7 @@ from bottfano import (
 )
 from bottfano import fan as fan_module
 from bottfano.fan import FAN_WORK_LIMIT
+from bottfano import lattice
 from bottfano.lattice import det
 
 from conftest import (
@@ -155,10 +157,13 @@ def test_ray_cone_masks_match_the_or_loop(rng):
         (j, l): (0,) for j in range(2, 13) for l in range(1, j)})))
     for f in fans:
         masks = [0] * len(f.rays)
+        cone_masks = [0] * len(f.max_cones)
         for c, cone in enumerate(f.max_cones):
             for i in cone:
                 masks[i] |= 1 << c
+                cone_masks[c] |= 1 << i
         assert f.ray_cones == masks
+        assert f.cone_masks == cone_masks
 
 
 @pytest.mark.parametrize("rays, labels, cones, message", [
@@ -243,6 +248,13 @@ class TestPrimitiveCollections:
                     max_cones=tuple(frozenset(c) for c in cones))
             assert primitive_collections(f) == primitive_collections_bruteforce(f)
 
+    def test_fan_with_no_cones_gives_every_ray_alone(self):
+        f = hand_fan([(1, 0), (0, 1), (-1, -1)], [])
+        assert f.cone_masks == []
+        assert primitive_collections(f) == primitive_collections_bruteforce(f) == {
+            frozenset({(0, i)}) for i in range(3)
+        }
+
     def test_search_reads_few_cone_masks_on_the_widest_tower(self):
         class CountingList(list):
             reads = 0
@@ -265,6 +277,7 @@ class TestPrimitiveCollections:
         t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
         f = build_fan(t)
         f.ray_cones = CountingList(f.ray_cones)
+        f.cone_masks = CountingList(f.cone_masks)
         assert primitive_collections(f) == {collection_for_stage(t, p) for p in range(1, 7)}
 
     def test_guard_on_large_fans(self):
@@ -510,6 +523,62 @@ class TestBatyrevClassify:
         for _ in range(60):
             t = random_tower(rng)
             assert batyrev_classify(build_fan(t)).verdict is classify(t).verdict
+
+
+def scrambled(f: Fan, rng) -> Fan:
+    """``f`` with its rays and cones renumbered at random and its rays mapped
+    by a random matrix in GL_n(Z); each ray keeps its label."""
+    n = f.dim
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    m = [[-e for e in row] if rng.random() < 0.5 else row for row in m]
+    order = rng.sample(range(len(f.rays)), len(f.rays))
+    new_index = {old: new for new, old in enumerate(order)}
+    cones = [frozenset(new_index[i] for i in cone) for cone in f.max_cones]
+    rng.shuffle(cones)
+    return Fan(
+        dim=n,
+        rays=tuple(tuple(sum(map(mul, row, f.rays[old])) for row in m) for old in order),
+        labels=tuple(f.labels[old] for old in order),
+        max_cones=tuple(cones),
+    )
+
+
+def test_oracle_is_invariant_under_renumbering_and_change_of_basis(rng, monkeypatch):
+    # tower fans of at most 16 rays, each scrambled once; the validator and the classifier
+    # then meet Euclid steps with no +-1 in y and leaf dots of -1, which build_fan's
+    # layout rarely gives them
+    euclid = leaf_minus_one = 0
+    next_rows, dot = lattice._next_rows, lattice._dot
+
+    def counting(rows, y):
+        nonlocal euclid
+        euclid += any(y) and 1 not in y and -1 not in y
+        return next_rows(rows, y)
+
+    def counting_dot(row, entries):
+        nonlocal leaf_minus_one
+        d = dot(row, entries)
+        leaf_minus_one += d == -1
+        return d
+
+    monkeypatch.setattr(lattice, "_next_rows", counting)
+    monkeypatch.setattr(lattice, "_dot", counting_dot)
+    for _ in range(200):
+        t = random_tower(rng)
+        f = build_fan(t)
+        assert len(f.rays) <= 16
+        expected = batyrev_classify(f)
+        g = scrambled(f, rng)
+        validate_smooth_complete(g)
+        got = batyrev_classify(g)
+        assert got.verdict is expected.verdict
+        assert got.degrees == expected.degrees
+    assert euclid > 0 and leaf_minus_one > 0
 
 
 def assert_hirzebruch_wall(a):

@@ -248,7 +248,7 @@ class TestFirstNonUnimodular:
                 assert first_non_unimodular(rays, good[:at] + [failing] + good[at:]) == at
 
     def test_each_cone_prefix_is_eliminated_once(self, monkeypatch):
-        steps = 0
+        steps = leaves = 0
 
         def counting(rows, y):
             nonlocal steps
@@ -259,12 +259,30 @@ class TestFirstNonUnimodular:
             assert all(any(row is r for r in rows) for row in kept)
             return result
 
-        next_rows = lattice._next_rows
+        def counting_dot(row, entries):
+            nonlocal leaves
+            leaves += 1
+            return dot(row, entries)
+
+        next_rows, dot = lattice._next_rows, lattice._dot
         monkeypatch.setattr(lattice, "_next_rows", counting)
-        # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one column step per distinct
-        # prefix, where a determinant per cone would take 49,152
+        monkeypatch.setattr(lattice, "_dot", counting_dot)
+        # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one step per distinct prefix,
+        # where a determinant per cone would take 49,152: an elimination for each prefix of
+        # 1 to 11 rays, and a dot with the last ray for each whole cone
         t = make_tower((1,) * 12, {(j, l): (0,) for j in range(2, 13) for l in range(1, j)})
         f = build_fan(t)
         assert first_non_unimodular(f.rays, f.max_cones) is None
         prefixes = {tuple(sorted(c))[:k] for c in f.max_cones for k in range(1, f.dim + 1)}
-        assert steps == len(prefixes) == 8190
+        assert steps == sum(len(p) < f.dim for p in prefixes) == 4094
+        assert leaves == len(f.max_cones) == 4096
+        assert steps + leaves == len(prefixes) == 8190
+
+    @pytest.mark.parametrize("last_dot, bad", [(0, 1), (2, 1), (-2, 1), (-1, None)],
+                             ids=["dot-0", "dot-2", "dot-minus-2", "dot-minus-1"])
+    def test_last_ray_is_checked_by_its_dot(self, last_dot, bad):
+        # the first two rays of each cone pivot on +-1 and leave the row (1, -1, 1), normal
+        # to both; the second cone's last ray (last_dot, 0, 0) meets it in last_dot only
+        rays = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (last_dot, 0, 0)]
+        assert first_non_unimodular(rays, [(0, 1, 2), (0, 1, 3)]) == bad
+        assert first_non_unimodular(rays, [(0, 1, 3), (0, 1, 2)]) == (None if bad is None else 0)
