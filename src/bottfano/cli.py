@@ -124,14 +124,21 @@ def cmd_check(args) -> int:
         f = fanmod.build_fan(t)
         fanmod.validate_smooth_complete(f)
         oracle = fanmod.batyrev_classify(f)
-        report["verified"] = oracle.verdict is cls.verdict
-        if oracle.verdict is not cls.verdict:
+        # the closed form's stage degrees (n_m + 1 at p = m): equal maps give equal verdicts
+        closed = {
+            fanmod.collection_for_stage(t, p): n + 1 - s
+            for p, (n, s) in enumerate(zip(t.stage_dims, cls.nu_sums + (0,)), start=1)
+        }
+        report["verified"] = closed == oracle.degrees
+        if not report["verified"]:
             _emit(report, args, lines + [
                 f"VERIFY FAILED: fan criterion says {oracle.verdict.value}"
             ])
+            pc = min((pc for pc in closed.keys() | oracle.degrees.keys()
+                      if closed.get(pc) != oracle.degrees.get(pc)), key=sorted)
             raise ExpectationError(
-                f"verdicts disagree: closed form {cls.verdict.value}, "
-                f"fan criterion {oracle.verdict.value}"
+                f"degrees disagree on {{{', '.join(map(_label, sorted(pc)))}}}: "
+                f"closed form {closed.get(pc)}, fan criterion {oracle.degrees.get(pc)}"
             )
         lines.append("verify: fan criterion agrees")
     _emit(report, args, lines)

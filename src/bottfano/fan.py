@@ -380,18 +380,10 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
 
 
 def batyrev_classify(f: Fan) -> Classification:
-    """Fano iff every primitive-collection degree is positive; weak Fano
-    iff every degree is nonnegative."""
-    degrees: dict[frozenset[RayLabel], int] = {}
-    for pc in primitive_collections(f):
-        degrees[pc] = primitive_relation(f, pc).degree
-    if all(d > 0 for d in degrees.values()):
-        verdict = Verdict.FANO
-    elif all(d >= 0 for d in degrees.values()):
-        verdict = Verdict.WEAK_FANO_NOT_FANO
-    else:
-        verdict = Verdict.NOT_WEAK_FANO
-    return Classification(verdict=verdict, degrees=degrees)
+    """The degree of every primitive collection, keyed by the collection,
+    and the verdict that ``Verdict.from_degrees`` reads from them."""
+    degrees = {pc: primitive_relation(f, pc).degree for pc in primitive_collections(f)}
+    return Classification(verdict=Verdict.from_degrees(degrees.values()), degrees=degrees)
 
 
 def collection_for_stage(t: GeneralizedBottTower, p: int) -> frozenset[RayLabel]:

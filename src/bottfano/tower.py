@@ -7,8 +7,8 @@ length n_j.  The auxiliary vectors b_{p,q} are computed by the recursion
     b_{p,1} = a_{p+1,p}
     b_{p,q} = a_{p+q,p} + sum_{r<q} mu(b_{p,r}) * a_{p+q,p+r}
 
-and the manifold is Fano (resp. weak Fano) exactly when
-sum_q nu(b_{p,q}) <= n_p (resp. n_p + 1) for every p < m.
+and the manifold is Fano (resp. weak Fano) exactly when the stage degree
+n_p + 1 - sum_q nu(b_{p,q}) is > 0 (resp. >= 0) for every p < m.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ class Verdict(Enum):
     FANO = "fano"
     WEAK_FANO_NOT_FANO = "weak_fano_not_fano"
     NOT_WEAK_FANO = "not_weak_fano"
+
+    @classmethod
+    def from_degrees(cls, degrees) -> Verdict:
+        """Batyrev's rule on primitive-collection degrees: Fano iff every degree
+        is > 0 (or there are none), weak Fano iff every degree is >= 0."""
+        low = min(degrees, default=1)
+        return cls.FANO if low > 0 else cls.WEAK_FANO_NOT_FANO if low == 0 else cls.NOT_WEAK_FANO
 
 
 @dataclass
@@ -163,48 +170,40 @@ def validate(t: GeneralizedBottTower) -> None:
 
 
 def compute_b(t: GeneralizedBottTower) -> BVectors:
-    """Run the b_{p,q} recursion, caching mu values and argmin indices."""
+    """Run the b_{p,q} recursion, caching mu values and argmin indices.
+    Each b_{p,q} adds only the terms r < q with mu(b_{p,r}) != 0."""
     m = t.num_stages
     b: dict[tuple[int, int], IntVec] = {}
     mins: dict[tuple[int, int], int] = {}
     argmins: dict[tuple[int, int], int] = {}
     for p in range(1, m):
+        terms: list[tuple[int, int]] = []  # (r, mu(b_{p,r})) with mu != 0
         for q in range(1, m - p + 1):
-            vec = list(t.a(p + q, p))
-            for r in range(1, q):
-                mr = mins[(p, r)]
-                if mr != 0:
-                    arl = t.a(p + q, p + r)
-                    vec = [v + mr * c for v, c in zip(vec, arl)]
+            vec = t.a(p + q, p)
+            for r, mr in terms:
+                vec = [v + mr * c for v, c in zip(vec, t.a(p + q, p + r))]
             bpq = tuple(vec)
             b[(p, q)] = bpq
             mn = mu(bpq)
             mins[(p, q)] = mn
-            if mn == 0:
-                argmins[(p, q)] = 0
-            else:
-                argmins[(p, q)] = 1 + bpq.index(mn)
+            argmins[(p, q)] = 1 + bpq.index(mn) if mn else 0
+            if mn:
+                terms.append((q, mn))
     return BVectors(b=b, mins=mins, argmins=argmins)
 
 
 def classify(t: GeneralizedBottTower) -> Classification:
-    """Tri-state Fano / weak Fano verdict from the nu-sum criterion."""
+    """Tri-state verdict from the nu-sum criterion: ``Verdict.from_degrees``
+    of the stage degrees n_p + 1 - sum_q nu(b_{p,q}) for p < m."""
     bv = compute_b(t)
     m = t.num_stages
     nu_sums = tuple(
         sum(nu(bv.b[(p, q)]) for q in range(1, m - p + 1)) for p in range(1, m)
     )
-    thresholds = tuple((t.stage_dims[p - 1], t.stage_dims[p - 1] + 1) for p in range(1, m))
-    if all(s <= lo for s, (lo, _) in zip(nu_sums, thresholds)):
-        verdict = Verdict.FANO
-    elif all(s <= hi for s, (_, hi) in zip(nu_sums, thresholds)):
-        verdict = Verdict.WEAK_FANO_NOT_FANO
-    else:
-        verdict = Verdict.NOT_WEAK_FANO
     return Classification(
-        verdict=verdict,
+        verdict=Verdict.from_degrees(n + 1 - s for n, s in zip(t.stage_dims, nu_sums)),
         nu_sums=nu_sums,
-        thresholds=thresholds,
+        thresholds=tuple((n, n + 1) for n in t.stage_dims[:-1]),
         b_vectors=bv,
     )
 

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from bottfano import cli
+from bottfano import cli, fan
 from bottfano.cli import main, parse_document
 from bottfano.fan import FAN_WORK_LIMIT
-from bottfano.tower import TowerError
+from bottfano.tower import Classification, TowerError, Verdict
 from bottfano.cli import UsageError
 
 from conftest import FIXTURES
@@ -128,6 +129,8 @@ class TestCheck:
         ({"stages": ["2", 1], "coefficients": [[[0]]]}, "stages[j=1]"),
         ({"stages": [1, 2], "coefficients": [[[0]]]}, "coefficients[j=2][l=1]"),
         ({"stages": [1, 2], "coefficients": [[[0, 0, 0]]]}, "coefficients[j=2][l=1]"),
+        ({"stages": [1, 1], "coefficients": [[5]]},
+         "coefficients[j=2][l=1] must be an array of n_2 integers"),
     ])
     def test_malformed_document_cites_path(self, capsys, tmp_path, document, path):
         bad = tmp_path / "bad.json"
@@ -195,6 +198,97 @@ class TestCheck:
         _, second, _ = run_machine(capsys, "check", "--input", path)
         assert first["verified"] is True
         assert "verified" not in second
+
+
+def stage(p, n):
+    return frozenset((p, k) for k in range(n + 1))
+
+
+class TestExpectationFailure:
+    """Exit code 3: the report is printed, then one line on stderr."""
+
+    @pytest.fixture
+    def oracle_edit(self, monkeypatch):
+        """Replace ``batyrev_classify`` by one whose degree map ``edit`` has changed."""
+        original = fan.batyrev_classify
+
+        def install(edit):
+            def edited(f):
+                degrees = dict(original(f).degrees)
+                edit(degrees)
+                return Classification(verdict=Verdict.from_degrees(degrees.values()), degrees=degrees)
+
+            monkeypatch.setattr(fan, "batyrev_classify", edited)
+
+        return install
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_verify_fails_when_the_verdicts_disagree(self, capsys, oracle_edit, fmt):
+        oracle_edit(lambda degrees: degrees.update({stage(1, 1): -1}))
+        code, out, err = run(
+            capsys, "check", "--verify", "--format", fmt,
+            "--input", str(FIXTURES / "hirzebruch_a1.json"),
+        )
+        assert code == 3
+        assert err == (
+            "expectation failed: degrees disagree on {u[1,0], u[1,1]}: "
+            "closed form 1, fan criterion -1\n"
+        )
+        if fmt == "machine":
+            report = json.loads(out)
+            assert report["verdict"] == "fano" and report["verified"] is False
+        else:
+            assert out.startswith("verdict: fano\n")
+            assert out.endswith("\nVERIFY FAILED: fan criterion says not_weak_fano\n")
+
+    def test_verify_fails_on_a_degree_the_verdict_hides(self, capsys, monkeypatch):
+        # the zero-sum last-stage collection of degree 3 gets degree 4: both routes still say
+        # fano, so only the comparison of degrees catches it
+        original = fan.primitive_relation
+
+        def raised(f, pc):
+            pr = original(f, pc)
+            return replace(pr, degree=pr.degree + 1) if pc == stage(4, 2) else pr
+
+        monkeypatch.setattr(fan, "primitive_relation", raised)
+        code, report, err = run_machine(
+            capsys, "check", "--verify", "--input", str(FIXTURES / "fano_4stage.json")
+        )
+        assert code == 3
+        assert report["verdict"] == "fano" and report["verified"] is False
+        assert err == (
+            "expectation failed: degrees disagree on {u[4,0], u[4,1], u[4,2]}: "
+            "closed form 3, fan criterion 4\n"
+        )
+
+    def test_verify_names_the_first_missing_collection(self, capsys, oracle_edit):
+        def drop(degrees):
+            del degrees[stage(3, 2)], degrees[stage(2, 2)]
+
+        oracle_edit(drop)
+        code, report, err = run_machine(
+            capsys, "check", "--verify", "--input", str(FIXTURES / "fano_4stage.json")
+        )
+        assert code == 3 and report["verified"] is False
+        assert err == (
+            "expectation failed: degrees disagree on {u[2,0], u[2,1], u[2,2]}: "
+            "closed form 1, fan criterion None\n"
+        )
+
+    def test_expect_table1_fails_on_a_wrong_hit_set(self, capsys, monkeypatch):
+        dropped = min(cli.FANO_THREE_STAGE_TRIPLES)
+        monkeypatch.setattr(
+            cli, "FANO_THREE_STAGE_TRIPLES", cli.FANO_THREE_STAGE_TRIPLES - {dropped}
+        )
+        code, report, err = run_machine(
+            capsys, "enumerate", "--stages", "1,1,1", "--range=-1:1",
+            "--mode", "fano", "--expect-table1",
+        )
+        assert code == 3
+        assert len(report["hits"]) == 15 and list(dropped) in report["hits"]
+        assert err == (
+            "expectation failed: Fano hit set has 15 triples, expected the 14 known ones\n"
+        )
 
 
 class TestFan:

@@ -663,6 +663,12 @@ class TestWallRelation:
             wall_relation(replace(f, max_cones=cones), t, bv, p)
         assert str(excinfo.value) == f"tau_{p} lies in 1 maximal cones, expected 2"
 
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_stage_out_of_range_raises(self, p):
+        t = hirzebruch(1)
+        with pytest.raises(FanError, match=rf"^stage index {p} out of range 1\.\.2$"):
+            wall_relation(build_fan(t), t, compute_b(t), p)
+
     def test_cones_not_differing_by_one_ray_raise(self):
         t = make_tower((2,))
         f = build_fan(t)

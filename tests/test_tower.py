@@ -81,6 +81,10 @@ class TestValidate:
         with pytest.raises(TowerError, match="^stage dimensions must be a sequence, got 3$"):
             GeneralizedBottTower(3)
 
+    def test_no_stage_refused(self):
+        with pytest.raises(TowerError, match="^at least one stage required$"):
+            GeneralizedBottTower((), {})
+
 
 class TestComputeB:
     def test_worked_fano_example(self):
@@ -119,6 +123,35 @@ class TestComputeB:
         assert bv.argmins[(1, 2)] == 0
         assert bv.argmins[(1, 1)] == 1  # smallest index attaining -1
         assert bv.argmins[(2, 1)] == 2
+
+    def test_matches_the_recursion_on_random_towers(self, rng):
+        # the recursion as written, with every r < q; compute_b adds only the r with mu != 0
+        for _ in range(200):
+            t = random_tower(rng, max_stages=6, coeff_bound=rng.choice((1, 2)))
+            m, b = t.num_stages, {}
+            for p in range(1, m):
+                for q in range(1, m - p + 1):
+                    vec = list(t.a(p + q, p))
+                    for r in range(1, q):
+                        mr = min(0, *b[(p, r)])
+                        vec = [v + mr * c for v, c in zip(vec, t.a(p + q, p + r))]
+                    b[(p, q)] = tuple(vec)
+            bv = compute_b(t)
+            assert bv.b == b and bv.mins.keys() == bv.argmins.keys() == b.keys()
+            for pq, vec in b.items():
+                mn = min(0, *vec)
+                assert (bv.mins[pq], bv.argmins[pq]) == (mn, vec.index(mn) + 1 if mn else 0)
+
+
+@pytest.mark.parametrize("degrees, verdict", [
+    ((), Verdict.FANO),
+    ((1, 3), Verdict.FANO),
+    ((2, 0, 1), Verdict.WEAK_FANO_NOT_FANO),
+    ((0, -1, 5), Verdict.NOT_WEAK_FANO),
+])
+def test_verdict_from_degrees(degrees, verdict):
+    assert Verdict.from_degrees(degrees) is verdict
+    assert Verdict.from_degrees(iter(degrees)) is verdict
 
 
 class TestClassify:
@@ -230,6 +263,10 @@ class TestBottMatrix:
     def test_rejects_bad_diagonal(self):
         with pytest.raises(TowerError):
             BottMatrix(((2, 0), (0, 1)))
+
+    def test_short_row_refused(self):
+        with pytest.raises(TowerError, match="^row 2 has length 1, expected 2$"):
+            BottMatrix(((1, 0), (0,)))
 
     def test_rejects_lower_triangle(self):
         with pytest.raises(TowerError):
