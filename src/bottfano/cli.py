@@ -131,15 +131,18 @@ def cmd_check(args) -> int:
         }
         report["verified"] = closed == oracle.degrees
         if not report["verified"]:
-            _emit(report, args, lines + [
-                f"VERIFY FAILED: fan criterion says {oracle.verdict.value}"
-            ])
             pc = min((pc for pc in closed.keys() | oracle.degrees.keys()
                       if closed.get(pc) != oracle.degrees.get(pc)), key=sorted)
-            raise ExpectationError(
-                f"degrees disagree on {{{', '.join(map(_label, sorted(pc)))}}}: "
-                f"closed form {closed.get(pc)}, fan criterion {oracle.degrees.get(pc)}"
-            )
+            want, got = closed.get(pc), oracle.degrees.get(pc)
+            # null in the machine output, None in the text, for a side that lacks pc
+            report["mismatch"] = {"collection": [list(lab) for lab in sorted(pc)],
+                                  "closed_form": want, "fan_criterion": got}
+            mismatch = (f"degrees disagree on {{{', '.join(map(_label, sorted(pc)))}}}: "
+                        f"closed form {want}, fan criterion {got}")
+            _emit(report, args, lines + [
+                f"VERIFY FAILED: fan criterion says {oracle.verdict.value}; {mismatch}"
+            ])
+            raise ExpectationError(mismatch)
         lines.append("verify: fan criterion agrees")
     _emit(report, args, lines)
     return EXIT_OK
@@ -160,7 +163,7 @@ def cmd_fan(args) -> int:
     }
     if not args.relations_only:
         report["rays"] = [[list(lab), list(vec)] for lab, vec in zip(f.labels, f.rays)]
-        report["max_cones"] = [sorted(cone) for cone in f.max_cones]
+        report["max_cones"] = f.max_cones
     _emit(report, args, _fan_lines(f, relations, args.relations_only))
     return EXIT_OK
 
@@ -173,7 +176,7 @@ def _fan_lines(f: fanmod.Fan, relations, relations_only: bool):
             yield f"  {_label(lab)} = {list(vec)}"
         yield f"maximal cones ({len(f.max_cones)}):"
         for cone in f.max_cones:
-            yield "  {" + ", ".join(_label(f.labels[i]) for i in sorted(cone)) + "}"
+            yield "  {" + ", ".join(_label(f.labels[i]) for i in cone) + "}"
     yield f"primitive collections ({len(relations)}):"
     for pr in relations:
         lhs = " + ".join(_label(lab) for lab in sorted(pr.members))

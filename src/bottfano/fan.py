@@ -27,7 +27,7 @@ RayLabel = tuple[int, int]
 BRUTE_FORCE_RAY_LIMIT = 24
 
 #: Largest cones * dim^2 that ``build_fan`` builds.  The slowest tower admitted, (1,)^15 at
-#: 7.4M, takes 1.1-1.5 s and about 60 MB in check --verify on a 2-core x86-64 host, with
+#: 7.4M, takes 0.9-1.4 s and about 45 MB in check --verify on a 2-core x86-64 host, with
 #: every coefficient 0 or every coefficient -1.
 FAN_WORK_LIMIT = 10**7
 
@@ -40,18 +40,18 @@ class FanError(ValueError):
 class Fan:
     """Rays and maximal cones of a tower fan in Z^n.
 
-    ``labels[i]`` is the (l, k) pair of ray i; ``max_cones`` are frozensets
-    of ray indices, one cone per lexicographic choice (k_1, ..., k_m) of
-    the omitted ray in each stage.  Two bitmask indexes are built from
-    ``max_cones`` alone: bit c of ``ray_cones[i]`` is set iff
-    ``max_cones[c]`` contains ray i, and bit i of ``cone_masks[c]`` is set
+    ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` holds cone
+    c's ray indices as an ascending tuple, whatever iterable of ints was
+    given, one cone per lexicographic choice (k_1, ..., k_m) of the omitted
+    ray in each stage.  Two bitmask indexes are built from ``max_cones``
+    alone: bit c of ``ray_cones[i]`` and bit i of ``cone_masks[c]`` are set
     iff ``max_cones[c]`` contains ray i.
     """
 
     dim: int
     rays: tuple[IntVec, ...]
     labels: tuple[RayLabel, ...]
-    max_cones: tuple[frozenset[int], ...]
+    max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.labels) != len(self.rays):
@@ -72,27 +72,34 @@ class Fan:
                     raise FanError(f"ray {lab} has entry {e!r}, not an int")
             if self.index.setdefault(lab, i) != i:
                 raise FanError(f"label {lab} names rays {self.index[lab]} and {i}")
-        ray_indices = frozenset(range(len(self.rays)))
         # ray i's mask in base 2, one byte per digit: b"1" at n - c for cone c, and a leading
         # b"0" so that a ray in no cone parses as 0; one linear pass, then one parse per ray
         n = len(self.max_cones)
         digits = [bytearray(b"0" * (n + 1)) for _ in self.rays]
         bits = [1 << i for i in range(len(self.rays))]
+        cones = []
         self.cone_masks = []
-        for c, cone in enumerate(self.max_cones):
-            for i in cone:
+        for c, given in enumerate(self.max_cones):
+            try:
+                given = tuple(given)
+            except TypeError:
+                raise FanError(f"maximal cone #{c} is {given!r}, not an iterable of ints") from None
+            for i in given:
                 # exactly int: 1.0 and True would pass the range test as ray 1
                 if type(i) is not int:
                     raise FanError(f"maximal cone #{c} names ray index {i!r}, not an int")
-            if not ray_indices.issuperset(cone):
+            cone = tuple(sorted(given))
+            if cone and (cone[0] < 0 or cone[-1] >= len(self.rays)):
                 raise FanError(
-                    f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{len(self.rays) - 1}"
+                    f"maximal cone #{c} {list(cone)} names a ray outside 0..{len(self.rays) - 1}"
                 )
             mask = 0
             for i in cone:
                 digits[i][n - c] = 49  # ord("1")
                 mask |= bits[i]
+            cones.append(cone)
             self.cone_masks.append(mask)
+        self.max_cones = tuple(cones)
         self.ray_cones = [int(d, 2) for d in digits]
 
     def ray(self, label: RayLabel) -> IntVec:
@@ -170,9 +177,10 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
     for l, nl in enumerate(dims, start=1):
         stage = tuple(range(offsets[l - 1] + l - 1, offsets[l] + l))
         kept.append([stage[:k] + stage[k + 1:] for k in range(nl + 1)])
-    # a list, not a generator: tuple() grows a tuple read from an iterator by resizing, and
-    # CPython's per-size free lists then keep the short ones, which raised peak memory
-    max_cones = [frozenset(chain.from_iterable(parts)) for parts in product(*kept)]
+    # stage slices ascend one after another, so each cone does; tuple() of an iterator would
+    # grow it by resizing, and CPython's per-size free lists then keep the short ones, which
+    # raised peak memory
+    max_cones = [(*chain.from_iterable(parts),) for parts in product(*kept)]
     return Fan(
         dim=n,
         rays=tuple(rays),
@@ -270,14 +278,14 @@ def primitive_collections_bruteforce(f: Fan) -> set[frozenset[RayLabel]]:
     """All minimal ray sets not contained in any maximal cone, by subset scan.
 
     The reference for ``primitive_collections`` in the tests: checks set
-    inclusion against the maximal-cone ray sets over subsets of
-    increasing size.  Refuses fans with more than BRUTE_FORCE_RAY_LIMIT
+    inclusion against ``Fan.cone_masks`` over subsets of increasing
+    size.  Refuses fans with more than BRUTE_FORCE_RAY_LIMIT
     rays.
     """
     nrays = len(f.rays)
     if nrays > BRUTE_FORCE_RAY_LIMIT:
         raise FanError(f"subset scan refused: {nrays} rays > limit {BRUTE_FORCE_RAY_LIMIT}")
-    cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
+    cone_masks = f.cone_masks
     full = (1 << nrays) - 1
     found: list[tuple[int, frozenset[int]]] = []
     # a minimal non-face has every proper subset a face, so size <= dim + 1
@@ -365,7 +373,7 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     c = 0
     while unvisited:
         unvisited ^= 1 << c
-        idx = sorted(f.max_cones[c])
+        idx = f.max_cones[c]
         coords = _cone_coordinates([f.rays[i] for i in idx], target)
         low = min(coords)
         if low >= 0:
@@ -460,23 +468,22 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     around = f.cones_containing(wall_idx)
     if around.bit_count() != 2:
         raise FanError(f"tau_{p} lies in {around.bit_count()} maximal cones, expected 2")
-    first = f.max_cones[(around & -around).bit_length() - 1]
-    second = f.max_cones[around.bit_length() - 1]
-    extra = second - first
-    if len(extra) != 1:
-        raise FanError(f"the cones at tau_{p} differ by {len(extra)} rays, expected 1")
-    (j,) = extra
-    basis = sorted(first)
-    coords = _cone_coordinates([f.rays[i] for i in basis], f.rays[j])
-    coeffs = {i: -x for i, x in zip(basis, coords)}
+    a, b = (around & -around).bit_length() - 1, around.bit_length() - 1
+    extra = f.cone_masks[b] & ~f.cone_masks[a]
+    if extra.bit_count() != 1:
+        raise FanError(f"the cones at tau_{p} differ by {extra.bit_count()} rays, expected 1")
+    j = extra.bit_length() - 1
+    first = f.max_cones[a]
+    coords = _cone_coordinates([f.rays[i] for i in first], f.rays[j])
+    coeffs = {i: -x for i, x in zip(first, coords)}
     coeffs[j] = 1
     total = [0] * f.dim
     for i, c in coeffs.items():
         total = [s + c * e for s, e in zip(total, f.rays[i])]
     if any(total):
         raise FanError(f"internal error: wall relation for tau_{p} does not sum to zero")
-    for i in first - wall_idx:
-        if coeffs[i] != 1:
+    for i in first:
+        if i not in wall_idx and coeffs[i] != 1:
             raise FanError(f"the cones at tau_{p} lie on one side of it: coefficient {coeffs[i]}")
     if coeffs.get(f.index[(p, 0)], 0) == 0:
         raise FanError(f"wall relation for tau_{p} has zero coefficient on u[{p},0]")

@@ -74,7 +74,7 @@ class TestCheck:
             capsys, "check", "--verify", "--input", str(FIXTURES / "hirzebruch_a1.json")
         )
         assert code == 0
-        assert report["verified"] is True
+        assert report["verified"] is True and "mismatch" not in report
 
     def test_machine_output_round_trips(self, capsys):
         _, report, _ = run_machine(
@@ -237,9 +237,15 @@ class TestExpectationFailure:
         if fmt == "machine":
             report = json.loads(out)
             assert report["verdict"] == "fano" and report["verified"] is False
+            assert report["mismatch"] == {
+                "collection": [[1, 0], [1, 1]], "closed_form": 1, "fan_criterion": -1
+            }
         else:
             assert out.startswith("verdict: fano\n")
-            assert out.endswith("\nVERIFY FAILED: fan criterion says not_weak_fano\n")
+            assert out.endswith(
+                "\nVERIFY FAILED: fan criterion says not_weak_fano; degrees disagree on "
+                "{u[1,0], u[1,1]}: closed form 1, fan criterion -1\n"
+            )
 
     def test_verify_fails_on_a_degree_the_verdict_hides(self, capsys, monkeypatch):
         # the zero-sum last-stage collection of degree 3 gets degree 4: both routes still say
@@ -256,6 +262,9 @@ class TestExpectationFailure:
         )
         assert code == 3
         assert report["verdict"] == "fano" and report["verified"] is False
+        assert report["mismatch"] == {
+            "collection": [[4, 0], [4, 1], [4, 2]], "closed_form": 3, "fan_criterion": 4
+        }
         assert err == (
             "expectation failed: degrees disagree on {u[4,0], u[4,1], u[4,2]}: "
             "closed form 3, fan criterion 4\n"
@@ -270,6 +279,10 @@ class TestExpectationFailure:
             capsys, "check", "--verify", "--input", str(FIXTURES / "fano_4stage.json")
         )
         assert code == 3 and report["verified"] is False
+        # the oracle lacks the collection, so its side is null
+        assert report["mismatch"] == {
+            "collection": [[2, 0], [2, 1], [2, 2]], "closed_form": 1, "fan_criterion": None
+        }
         assert err == (
             "expectation failed: degrees disagree on {u[2,0], u[2,1], u[2,2]}: "
             "closed form 1, fan criterion None\n"

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from operator import mul
 
@@ -191,13 +192,55 @@ def test_ray_cone_masks_match_the_or_loop(rng):
      r"^ray 1 has label \(0, \[1\]\), not a pair of ints$"),
     ([[1, 0], [0, 1], [-1, -1]], [(0, 0), (0, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)],
      r"^ray \(0, 0\) is \[1, 0\], not a tuple$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [5],
+     "^maximal cone #0 is 5, not an iterable of ints$"),
+    ([(1, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (0, 2)], [None],
+     "^maximal cone #0 is None, not an iterable of ints$"),
 ], ids=["index-past-the-rays", "too-few-labels", "long-ray", "negative-index", "float-index",
         "bool-index", "str-index", "duplicate-label", "float-ray-entry", "list-label",
-        "list-in-label", "list-ray"])
+        "list-in-label", "list-ray", "int-cone", "none-cone"])
 def test_malformed_fan_refused_when_built(rays, labels, cones, message):
     with pytest.raises(FanError, match=message):
-        Fan(dim=2, rays=tuple(rays), labels=tuple(labels),
-            max_cones=tuple(frozenset(c) for c in cones))
+        Fan(dim=2, rays=tuple(rays), labels=tuple(labels), max_cones=tuple(cones))
+
+
+def test_cones_are_stored_as_ascending_tuples(rng):
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
+    cones = [(i, (i + 1) % 5) for i in range(5)]
+    fans = [Fan(dim=2, rays=rays, labels=tuple((0, i) for i in range(5)),
+                max_cones=tuple(form(c) for c in cones))
+            for form in (frozenset, lambda c: list(reversed(c)), tuple, iter)]
+    for f in fans:
+        assert f.max_cones == ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+        assert f.cone_masks == fans[0].cone_masks and f.ray_cones == fans[0].ray_cones
+    for _ in range(30):
+        f = build_fan(random_tower(rng))
+        assert all(type(c) is tuple and all(map(int.__lt__, c, c[1:])) for c in f.max_cones)
+        shuffled = tuple(rng.sample(c, len(c)) for c in f.max_cones)
+        again = replace(f, max_cones=tuple(frozenset(c) for c in shuffled))
+        assert again.max_cones == replace(f, max_cones=shuffled).max_cones == f.max_cones
+        assert again.cone_masks == f.cone_masks and again.ray_cones == f.ray_cones
+
+
+def test_widest_line_tower_fan_holds_under_2_mb():
+    # 4,096 cones of 12 rays: 3.2 MB when each cone was a frozenset
+    t = make_tower((1,) * 12, {(j, l): (0,) for j in range(2, 13) for l in range(1, j)})
+    tracemalloc.start()
+    try:
+        f = build_fan(t)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.max_cones) == 4096
+    assert held < 2_000_000
+
+
+def test_cone_naming_a_ray_twice_is_not_unimodular():
+    f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -1)), labels=((0, 0), (0, 1), (0, 2)),
+            max_cones=([0, 0], [1, 2], [2, 0]))
+    assert f.max_cones == ((0, 0), (1, 2), (0, 2))
+    with pytest.raises(FanError, match=r"^maximal cone #0 is not unimodular$"):
+        validate_smooth_complete(f)
 
 
 def test_cones_containing_matches_subset_scan(rng):
@@ -212,7 +255,7 @@ def test_cones_containing_matches_subset_scan(rng):
         for s in subsets:
             mask = f.cones_containing(s)
             assert {c for c in range(len(f.max_cones)) if mask >> c & 1} == {
-                c for c, cone in enumerate(f.max_cones) if set(s) <= cone
+                c for c, cone in enumerate(f.max_cones) if set(s) <= set(cone)
             }
 
 
@@ -627,7 +670,7 @@ class TestWallRelation:
                     total = [x + c * y for x, y in zip(total, f.ray(lab))]
                 assert all(e == 0 for e in total)
                 wall_idx = {f.index[lab] for lab in wd.wall}
-                around = set().union(*(c for c in f.max_cones if wall_idx <= c))
+                around = set().union(*(c for c in f.max_cones if wall_idx <= set(c)))
                 ends = f.to_labels(around - wall_idx)
                 assert len(ends) == 2
                 assert all(wd.relation.get(lab) in (1, -1) for lab in ends)
@@ -657,7 +700,7 @@ class TestWallRelation:
         f = build_fan(t)
         bv = compute_b(t)
         wall_idx = {f.index[lab] for lab in wall_relation(f, t, bv, p).wall}
-        drop = next(c for c, cone in enumerate(f.max_cones) if wall_idx <= cone)
+        drop = next(c for c, cone in enumerate(f.max_cones) if wall_idx <= set(cone))
         cones = f.max_cones[:drop] + f.max_cones[drop + 1:]
         with pytest.raises(FanError) as excinfo:
             wall_relation(replace(f, max_cones=cones), t, bv, p)
