@@ -21,6 +21,13 @@ DEFAULT_CAP = 10**6
 #: width^slots, since ``str`` refuses ints past 4,300 digits.
 PRINTABLE_BITS = 10_000
 
+#: Most coefficient slots a sweep takes, whatever its cap: a range of width 1
+#: has one candidate however many slots it has, but each slot still costs
+#: Python objects and time.  The slowest sweep admitted, chary-compare --r 447
+#: over 0:0 (99,681 slots), takes 0.5-0.7 s and about 75 MB on a 2-core x86-64
+#: host.
+SLOT_WORK_LIMIT = 10**5
+
 #: Coefficient triples (a_{2,1}, a_{3,1}, a_{3,2}) of the Fano 3-stage
 #: Bott manifolds; the `fano` sweep over stages (1,1,1) must reproduce
 #: exactly this set.
@@ -54,7 +61,8 @@ class SweepError(ValueError):
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     """Check the range ends and the cap, then refuse a sweep of ``nslots``
     slots over ``coeff_range`` whose candidate count, or slot count, exceeds
-    ``cap``; return the range ends."""
+    ``cap``, or whose slot count exceeds ``SLOT_WORK_LIMIT``; return the
+    range ends."""
     try:
         lo, hi = coeff_range
     except (TypeError, ValueError):
@@ -78,6 +86,8 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     # a range of width 1 has one candidate however many slots it has
     if nslots > cap:
         raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
+    if nslots > SLOT_WORK_LIMIT:
+        raise SweepError(f"{nslots} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     return lo, hi
 
 

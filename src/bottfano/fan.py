@@ -27,7 +27,7 @@ RayLabel = tuple[int, int]
 BRUTE_FORCE_RAY_LIMIT = 24
 
 #: Largest cones * dim^2 that ``build_fan`` builds.  The slowest tower admitted, (1,)^15 at
-#: 7.4M, takes 0.9-1.4 s and about 45 MB in check --verify on a 2-core x86-64 host, with
+#: 7.4M, takes 0.7-0.9 s and about 45 MB in check --verify on a 2-core x86-64 host, with
 #: every coefficient 0 or every coefficient -1.
 FAN_WORK_LIMIT = 10**7
 
@@ -196,7 +196,8 @@ def validate_smooth_complete(f: Fan) -> None:
     Rays are checked first, then cones (the lowest-indexed cone that has
     the wrong number of rays or is not unimodular), then facets (in the
     order they first appear).  Unimodularity comes from one exact integer
-    elimination shared by all the cones, ``lattice.first_non_unimodular``;
+    elimination of the ray matrix shared by all the cones, each decided by
+    a 2 x 2 determinant at the end, ``lattice.first_non_unimodular``;
     facets are counted as ``Fan.cone_masks`` entries with one ray cleared,
     one dict entry per facet.
 

@@ -1,7 +1,7 @@
 """Exact integer linear algebra: vectors, and one integer elimination,
 ``_next_rows``, by Euclid row steps.  It serves the determinant, the cone
-solves of ``fan``, and a unimodularity test that shares one elimination
-across many cones.
+solves of ``fan``, and a unimodularity test that eliminates the matrix of
+all the rays once, sharing each cone prefix's work among the cones.
 
 Vectors are tuples of Python ints and matrices are sequences of
 equal-length integer rows.  Python ints are arbitrary precision, so all
@@ -87,40 +87,36 @@ def det(m: IntMat) -> int:
     return d
 
 
-def _dot(row: Sequence[int], entries: Sequence[tuple[int, int]]) -> int:
-    """Sum of row[j] * e over the (j, e) nonzero entries of a sparse vector."""
-    d = 0
-    for j, e in entries:
-        d += row[j] * e
-    return d
-
-
 def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | None:
     """Index of the lowest-indexed cone whose rays are not a basis of Z^n,
     or None if every cone's rays are.
 
     Each cone lists n indices into ``rays``, and each ray has n integer
-    entries.  One exact elimination serves all the cones: they are
-    taken in the order of their sorted index tuples, and a stack holds,
-    for k = 0, 1, ..., n-1, the rows k..n-1 of an integer unimodular row
-    transform T_k (T_0 = I) that brings the first k rays of the current cone to unit
-    upper-triangular form; no later step reads rows 0..k-1.  A cone pops
-    the stack back to its common prefix with the previous cone and
-    eliminates only its new rays: y = T_k * ray over the ray's nonzero
-    entries, then ``_next_rows``; the first k rays form part of a basis iff
-    every y[k:] has gcd 1.  The one row of T_{n-1} is a primitive normal of
-    the first n-1 rays, so the last ray needs no elimination: the cone is
-    unimodular iff ``_dot`` of that row and the last ray is +-1.  A cone
-    fails at its first column whose gcd, or whose last dot, is not +-1.
+    entries.  One exact elimination of the n x len(rays) matrix V whose
+    columns are the rays serves all the cones, taken in the order of their
+    index tuples as given (a cone's order of rays does not change whether
+    they form a basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
+    k..n-1 of T_k V, where the integer unimodular row transform T_k (T_0 =
+    I) brings the first k rays of the current cone to unit upper-triangular
+    form; no later step reads rows 0..k-1.  A cone pops the stack back to
+    its common prefix with the previous cone and eliminates only its new
+    rays: a ray's y is its column of the top entry, and ``_next_rows`` on
+    it gives the next entry; the first k rays form part of a basis iff
+    every such y has gcd 1.  The last two rays need no elimination: the
+    cone is unimodular iff the 2 x 2 determinant of their columns in the
+    two rows left is +-1 (for n = 1, the one entry of the one ray).  A
+    cone fails at its first column whose gcd, or at a tail determinant,
+    that is not +-1.
     """
-    keyed = sorted((tuple(sorted(cone)), c) for c, cone in enumerate(cones))
+    keyed = sorted((tuple(cone), c) for c, cone in enumerate(cones))
     if not keyed:
         return None
     n = len(keyed[0][0])
     if {len(cone) for cone, _ in keyed} | {len(ray) for ray in rays} != {n}:
         raise LatticeError(f"first_non_unimodular: every cone and ray needs {n} entries")
-    sparse = [[(j, e) for j, e in enumerate(ray) if e] for ray in rays]
-    stack = [[[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]]
+    if n == 0:
+        return None
+    stack = [list(zip(*rays))]
     prev: tuple[int, ...] = ()
     bad = None
     for cone, c in keyed:
@@ -129,24 +125,24 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
         while k < top and cone[k] == prev[k]:
             k += 1
         del stack[k + 1:]
-        while k < n - 1:
+        while k < n - 2:
             rows = list(stack[k])
-            entries = sparse[cone[k]]
-            if len(entries) == 1:
-                ((j, e),) = entries
-                y = [row[j] * e for row in rows]
-            else:
-                y = [0] * len(rows)
-                for j, e in entries:
-                    y = [a + row[j] * e for a, row in zip(y, rows)]
-            p, g = _next_rows(rows, y)
+            r = cone[k]
+            p, g = _next_rows(rows, [row[r] for row in rows])
             if g != 1 and g != -1:
                 break
             del rows[p]
             stack.append(rows)
             k += 1
-        if k == n - 1 and _dot(stack[k][0], sparse[cone[k]]) in (1, -1):
-            k = n
+        else:
+            if n == 1:
+                d = stack[0][0][cone[0]]
+            else:
+                s0, s1 = stack[k]
+                a, b = cone[k], cone[k + 1]
+                d = s0[a] * s1[b] - s1[a] * s0[b]
+            if d == 1 or d == -1:
+                k = n
         if k < n and (bad is None or c < bad):
             bad = c
         prev = cone

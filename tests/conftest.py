@@ -6,6 +6,7 @@ import pytest
 
 from bottfano import GeneralizedBottTower, PrimitiveCollectionData
 from bottfano.fan import FanError, _cone_coordinates
+from bottfano.lattice import _next_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,6 +31,31 @@ def fraction_det(m) -> int:
                 a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
     assert d.denominator == 1
     return int(d)
+
+
+def tail_determinants(rays, cones) -> list[int | None]:
+    """Per cone, the value that ``lattice.first_non_unimodular`` tests
+    against +-1: the 2 x 2 determinant of the cone's last two columns in the
+    two rows of the ray matrix that ``_next_rows`` leaves after its first
+    n - 2 rays (for n = 1, the one entry of its ray), or None where one of
+    those rays meets a gcd other than 1.  Each cone is eliminated on its
+    own, with no prefix shared, so the steps are the same as there."""
+    tails: list[int | None] = []
+    for cone in cones:
+        rows = list(zip(*rays))
+        for r in cone[:-2]:
+            p, g = _next_rows(rows, [row[r] for row in rows])
+            if g != 1 and g != -1:
+                tails.append(None)
+                break
+            del rows[p]
+        else:
+            if len(cone) == 1:
+                tails.append(rows[0][cone[0]])
+            else:
+                (s0, s1), (a, b) = rows, cone[-2:]
+                tails.append(s0[a] * s1[b] - s1[a] * s0[b])
+    return tails
 
 
 def scan_primitive_relation(f, p) -> PrimitiveCollectionData:

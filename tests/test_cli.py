@@ -481,6 +481,19 @@ class TestCharyCompare:
             "error: 4999950000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
         )
 
+    def test_slot_work_limit_refuses_under_the_cap_before_any_work(self, capsys, monkeypatch):
+        # r = 1414 has 998,991 slots, under the default cap of 10^6
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused sweep reached the engine")
+
+        monkeypatch.setattr("bottfano.enumeration.SweepSpec", fail)
+        monkeypatch.setattr("bottfano.enumeration.product", fail)
+        monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
+        code, out, err = run(capsys, "chary-compare", "--r", "1414", "--range=0:0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 998991 coefficient slots exceed limit 100000\n"
+
     def test_huge_r_refused_before_the_stages_are_built(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("a refused comparison built its stages")

@@ -5,6 +5,7 @@ import pytest
 from bottfano import enumeration, tower
 from bottfano.enumeration import (
     FANO_THREE_STAGE_TRIPLES,
+    SLOT_WORK_LIMIT,
     SWEEP_MODES,
     SweepError,
     SweepSpec,
@@ -102,6 +103,18 @@ class TestSweep:
         with pytest.raises(SweepError, match="^4950 coefficient slots exceed cap 4949;"):
             SweepSpec((1,) * 100, (0, 0), cap=4949)
         assert SweepSpec((1,) * 100, (0, 0), cap=4950).cap == 4950
+
+    def test_slot_count_past_the_work_limit_refused_whatever_the_cap(self):
+        # the stages (1, N) have N slots and, over 0:0, one candidate, which is Fano
+        report = sweep(SweepSpec((1, SLOT_WORK_LIMIT), (0, 0), mode="fano"))
+        assert report.total == report.counts["fano"] == 1
+        assert report.hits == [(0,) * SLOT_WORK_LIMIT] and len(report.slots) == SLOT_WORK_LIMIT
+        with pytest.raises(SweepError, match="^100001 coefficient slots exceed limit 100000$"):
+            SweepSpec((1, SLOT_WORK_LIMIT + 1), (0, 0), cap=10**9)
+        # r = 448 has 100,128 slots, r = 447 has 99,681
+        with pytest.raises(SweepError, match="^100128 coefficient slots exceed limit 100000$"):
+            chary_compare(448, (0, 0), cap=10**9)
+        assert 447 * 446 // 2 <= SLOT_WORK_LIMIT < 448 * 447 // 2
 
 
 class TestCharyCompare:

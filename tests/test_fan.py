@@ -33,6 +33,7 @@ from conftest import (
     not_weak_fano_3stage,
     random_tower,
     scan_primitive_relation,
+    tail_determinants,
 )
 
 
@@ -593,24 +594,16 @@ def scrambled(f: Fan, rng) -> Fan:
 
 def test_oracle_is_invariant_under_renumbering_and_change_of_basis(rng, monkeypatch):
     # tower fans of at most 16 rays, each scrambled once; the validator and the classifier
-    # then meet Euclid steps with no +-1 in y and leaf dots of -1, which build_fan's
-    # layout rarely gives them
-    euclid = leaf_minus_one = 0
-    next_rows, dot = lattice._next_rows, lattice._dot
+    # then meet Euclid steps with no +-1 in y, and the validator tail determinants of -1
+    euclid = tail_minus_one = 0
+    next_rows = lattice._next_rows
 
     def counting(rows, y):
         nonlocal euclid
         euclid += any(y) and 1 not in y and -1 not in y
         return next_rows(rows, y)
 
-    def counting_dot(row, entries):
-        nonlocal leaf_minus_one
-        d = dot(row, entries)
-        leaf_minus_one += d == -1
-        return d
-
     monkeypatch.setattr(lattice, "_next_rows", counting)
-    monkeypatch.setattr(lattice, "_dot", counting_dot)
     for _ in range(200):
         t = random_tower(rng)
         f = build_fan(t)
@@ -618,10 +611,13 @@ def test_oracle_is_invariant_under_renumbering_and_change_of_basis(rng, monkeypa
         expected = batyrev_classify(f)
         g = scrambled(f, rng)
         validate_smooth_complete(g)
+        tails = tail_determinants(g.rays, g.max_cones)
+        assert set(tails) <= {1, -1}
+        tail_minus_one += tails.count(-1)
         got = batyrev_classify(g)
         assert got.verdict is expected.verdict
         assert got.degrees == expected.degrees
-    assert euclid > 0 and leaf_minus_one > 0
+    assert euclid > 0 and tail_minus_one > 0
 
 
 def assert_hirzebruch_wall(a):

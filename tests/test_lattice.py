@@ -9,7 +9,7 @@ from bottfano.fan import FanError, _cone_coordinates, build_fan
 from bottfano import lattice
 from bottfano.lattice import LatticeError, det, first_non_unimodular, mu, nu
 
-from conftest import fraction_det, make_tower
+from conftest import fraction_det, make_tower, tail_determinants
 
 ints = st.integers(min_value=-50, max_value=50)
 vectors = st.lists(ints, min_size=1, max_size=6).map(tuple)
@@ -248,7 +248,7 @@ class TestFirstNonUnimodular:
                 assert first_non_unimodular(rays, good[:at] + [failing] + good[at:]) == at
 
     def test_each_cone_prefix_is_eliminated_once(self, monkeypatch):
-        steps = leaves = 0
+        steps = 0
 
         def counting(rows, y):
             nonlocal steps
@@ -259,30 +259,101 @@ class TestFirstNonUnimodular:
             assert all(any(row is r for r in rows) for row in kept)
             return result
 
-        def counting_dot(row, entries):
-            nonlocal leaves
-            leaves += 1
-            return dot(row, entries)
-
-        next_rows, dot = lattice._next_rows, lattice._dot
+        next_rows = lattice._next_rows
         monkeypatch.setattr(lattice, "_next_rows", counting)
-        monkeypatch.setattr(lattice, "_dot", counting_dot)
-        # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one step per distinct prefix,
-        # where a determinant per cone would take 49,152: an elimination for each prefix of
-        # 1 to 11 rays, and a dot with the last ray for each whole cone
+        # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one step per distinct prefix of
+        # 1 to 10 rays, where a determinant per cone would take 49,152; no step eliminates an
+        # 11th ray, so each of the 4,096 cones, all unimodular, is passed by its 2 x 2 tail
         t = make_tower((1,) * 12, {(j, l): (0,) for j in range(2, 13) for l in range(1, j)})
         f = build_fan(t)
         assert first_non_unimodular(f.rays, f.max_cones) is None
-        prefixes = {tuple(sorted(c))[:k] for c in f.max_cones for k in range(1, f.dim + 1)}
-        assert steps == sum(len(p) < f.dim for p in prefixes) == 4094
-        assert leaves == len(f.max_cones) == 4096
-        assert steps + leaves == len(prefixes) == 8190
+        prefixes = {c[:k] for c in f.max_cones for k in range(1, f.dim + 1)}
+        assert steps == sum(len(p) <= f.dim - 2 for p in prefixes) == 2046
+        tails = tail_determinants(f.rays, f.max_cones)
+        assert tails.count(1) == tails.count(-1) == len(f.max_cones) // 2 == 2048
 
     @pytest.mark.parametrize("last_dot, bad", [(0, 1), (2, 1), (-2, 1), (-1, None)],
                              ids=["dot-0", "dot-2", "dot-minus-2", "dot-minus-1"])
     def test_last_ray_is_checked_by_its_dot(self, last_dot, bad):
-        # the first two rays of each cone pivot on +-1 and leave the row (1, -1, 1), normal
-        # to both; the second cone's last ray (last_dot, 0, 0) meets it in last_dot only
+        # the first ray of each cone pivots on +-1 and leaves the rows (0, 1, 0, -last_dot)
+        # and (0, 1, 1, 0) of the ray matrix, so the second cone's tail of rays 1 and 3 has
+        # determinant last_dot, the dot of (last_dot, 0, 0) with the normal (1, -1, 1) of
+        # rays 0 and 1
         rays = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (last_dot, 0, 0)]
         assert first_non_unimodular(rays, [(0, 1, 2), (0, 1, 3)]) == bad
         assert first_non_unimodular(rays, [(0, 1, 3), (0, 1, 2)]) == (None if bad is None else 0)
+
+    def test_cones_of_no_rays_pass(self):
+        assert first_non_unimodular([(), ()], [(), ()]) is None
+        assert first_non_unimodular([], [()]) is None
+
+    @pytest.mark.parametrize("rays, cones, bad", [
+        ([(1,), (-1,), (2,), (0,)], [(0,), (1,)], None),
+        ([(1,), (-1,), (2,), (0,)], [(1,), (2,), (0,)], 1),
+        ([(1,), (-1,), (2,), (0,)], [(3,), (0,)], 0),
+        ([(1, 0), (0, 1), (-1, -1), (2, 1)], [(0, 1), (1, 2), (2, 0), (3, 0)], None),
+        ([(1, 0), (0, 1), (-1, -1), (2, 1)], [(0, 1), (3, 1), (0, 3)], 1),
+        ([(1, 0), (0, 1), (-1, -1), (2, 1)], [(2, 1), (2, 2)], 1),
+    ], ids=["1d-units", "1d-two", "1d-zero", "2d-units", "2d-two", "2d-repeated"])
+    def test_one_and_two_rays_are_decided_by_the_tail_alone(self, monkeypatch, rays, cones, bad):
+        def fail(rows, y):
+            raise AssertionError("a cone of at most two rays reached an elimination step")
+
+        monkeypatch.setattr(lattice, "_next_rows", fail)
+        assert first_non_unimodular(rays, cones) == bad == next(
+            (c for c, cone in enumerate(cones)
+             if fraction_det([rays[i] for i in cone]) not in (1, -1)), None)
+
+    def test_cone_order_and_type_do_not_change_the_result(self):
+        # random cone systems in their sorted form, then with each cone's indices shuffled
+        # (as lists), reversed, as frozensets, and with one cone naming a ray twice
+        rng = random.Random(1912)
+        entries = (0, 0, 0, 1, 1, -1, -1, 2, -2)
+        unimodular = repeated = 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            rays = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(n + 3)]
+            cones = [tuple(sorted(rng.sample(range(len(rays)), n))) for _ in range(12)]
+            good = [cone for cone in cones if fraction_det([rays[i] for i in cone]) in (1, -1)]
+            unimodular += len(good)
+            for system in (cones, good):
+                expected = next((c for c, cone in enumerate(system) if cone not in good), None)
+                assert first_non_unimodular(rays, system) == expected
+                assert first_non_unimodular(rays, [rng.sample(cone, n) for cone in system]) == expected
+                assert first_non_unimodular(rays, [cone[::-1] for cone in system]) == expected
+                assert first_non_unimodular(rays, [frozenset(cone) for cone in system]) == expected
+            if n > 1 and good:
+                twice = list(good[0])
+                twice[rng.randrange(n)] = twice[rng.randrange(n)]
+                if len(set(twice)) < n:
+                    repeated += 1
+                    at = rng.randint(0, len(good))
+                    for cone in (twice, sorted(twice)):
+                        assert first_non_unimodular(rays, good[:at] + [cone] + good[at:]) == at
+        assert unimodular > 1000 and repeated > 100
+
+    def test_entries_near_10_to_the_30_match_fraction_det(self):
+        # a unimodular basis grown by column additions with multipliers near 10^5, until an
+        # entry passes 10^29; the rays are its columns, two sums of them (unimodular with
+        # the rest), one column doubled and one random vector of the same size
+        rng = random.Random(1030)
+        results = set()
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            cols = [[int(i == j) for i in range(n)] for j in range(n)]
+            while max(abs(e) for col in cols for e in col) < 10**29:
+                i, j = rng.sample(range(n), 2)
+                q = rng.choice((-1, 1)) * rng.randint(10**4, 10**5)
+                cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+            rays = [tuple(col) for col in cols]
+            rays += [tuple(map(sum, zip(rays[0], rays[1]))), tuple(map(sum, zip(rays[0], rays[-1]))),
+                     tuple(2 * e for e in rays[1]), tuple(rng.randint(-10**30, 10**30) for _ in range(n))]
+            cones = [tuple(rng.sample(range(len(rays)), n)) for _ in range(8)]
+            cones.insert(rng.randint(0, 8), tuple(rng.sample(range(n), n)))
+            dets = [fraction_det([rays[i] for i in cone]) for cone in cones]
+            good = [cone for cone, d in zip(cones, dets) if d in (1, -1)]
+            assert first_non_unimodular(rays, cones) == next(
+                (c for c, d in enumerate(dets) if d not in (1, -1)), None)
+            assert first_non_unimodular(rays, good) is None
+            results.update(d in (1, -1) for d in dets)
+        assert results == {True, False}
