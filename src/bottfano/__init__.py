@@ -3,7 +3,6 @@
 from .lattice import IntVec, LatticeError, det, mu, nu
 from .tower import (
     BottMatrix,
-    BVectors,
     Classification,
     GeneralizedBottTower,
     TowerError,

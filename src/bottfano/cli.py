@@ -106,19 +106,18 @@ def _emit(report: dict, args, human_lines) -> None:
 def cmd_check(args) -> int:
     t = parse_document(_read_input(args))
     cls = towermod.classify(t)
-    b = cls.b_vectors.b
     report = {
         "command": "check",
         "stages": list(t.stage_dims),
         "verdict": cls.verdict.value,
         "nu_sums": list(cls.nu_sums),
         "thresholds": [list(pair) for pair in cls.thresholds],
-        "b_vectors": {f"{p},{q}": list(vec) for (p, q), vec in sorted(b.items())},
+        "b_vectors": {f"{p},{q}": list(vec) for (p, q), vec in sorted(cls.b_vectors.items())},
     }
     lines = [f"verdict: {cls.verdict.value}"]
     for p, (s, (lo, hi)) in enumerate(zip(cls.nu_sums, cls.thresholds), start=1):
         lines.append(f"  p={p}: sum of nu(b[{p},q]) = {s}  (Fano <= {lo}, weak Fano <= {hi})")
-    for (p, q), vec in sorted(b.items()):
+    for (p, q), vec in sorted(cls.b_vectors.items()):
         lines.append(f"  b[{p},{q}] = {list(vec)}")
     if args.verify:
         f = fanmod.build_fan(t)
@@ -152,9 +151,9 @@ def cmd_fan(args) -> int:
     t = parse_document(_read_input(args))
     f = fanmod.build_fan(t)
     fanmod.validate_smooth_complete(f)
-    bv = towermod.compute_b(t)
+    b = towermod.compute_b(t)
     relations = [
-        fanmod.expected_primitive_relation(t, bv, p) for p in range(1, t.num_stages + 1)
+        fanmod.expected_primitive_relation(t, b, p) for p in range(1, t.num_stages + 1)
     ]
     report = {
         "command": "fan",

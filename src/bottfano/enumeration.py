@@ -60,9 +60,10 @@ class SweepError(ValueError):
 
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     """Check the range ends and the cap, then refuse a sweep of ``nslots``
-    slots over ``coeff_range`` whose candidate count, or slot count, exceeds
-    ``cap``, or whose slot count exceeds ``SLOT_WORK_LIMIT``; return the
-    range ends."""
+    slots over ``coeff_range`` whose slot count exceeds ``SLOT_WORK_LIMIT``,
+    or whose candidate count, or slot count, exceeds ``cap``; return the
+    range ends.  The fixed limit comes first, so "raise --cap" is advised
+    only where raising the cap can help."""
     try:
         lo, hi = coeff_range
     except (TypeError, ValueError):
@@ -73,6 +74,8 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
         raise SweepError(f"empty coefficient range {lo}:{hi}")
     if type(cap) is not int:
         raise SweepError(f"cap must be an integer, got {cap!r}")
+    if nslots > SLOT_WORK_LIMIT:
+        raise SweepError(f"{nslots} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     width = hi - lo + 1
     # the count width ** nslots is at least 2 ** min_bits, so past both the
     # cap and the printable length it is refused without being computed
@@ -86,8 +89,6 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     # a range of width 1 has one candidate however many slots it has
     if nslots > cap:
         raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
-    if nslots > SLOT_WORK_LIMIT:
-        raise SweepError(f"{nslots} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     return lo, hi
 
 

@@ -19,8 +19,8 @@ from math import gcd, prod
 from operator import mul
 
 from .enumeration import PRINTABLE_BITS
-from .lattice import IntVec, _next_rows, first_non_unimodular
-from .tower import BVectors, Classification, GeneralizedBottTower, Verdict
+from .lattice import IntVec, _next_rows, first_non_unimodular, mu
+from .tower import Classification, GeneralizedBottTower, Verdict
 
 RayLabel = tuple[int, int]
 
@@ -209,10 +209,7 @@ def validate_smooth_complete(f: Fan) -> None:
         if ray in seen:
             raise FanError(f"duplicate ray u[{lab[0]},{lab[1]}] = u[{seen[ray][0]},{seen[ray][1]}]")
         seen[ray] = lab
-        g = 0
-        for e in ray:
-            g = gcd(g, e)
-        if g != 1:
+        if gcd(*ray) != 1:
             raise FanError(f"ray u[{lab[0]},{lab[1]}] is not primitive")
     cones = f.max_cones
     sized = next((ci for ci, cone in enumerate(cones) if len(cone) != f.dim), len(cones))
@@ -401,9 +398,10 @@ def collection_for_stage(t: GeneralizedBottTower, p: int) -> frozenset[RayLabel]
 
 
 def expected_primitive_relation(
-    t: GeneralizedBottTower, bv: BVectors, p: int
+    t: GeneralizedBottTower, b: dict[tuple[int, int], IntVec], p: int
 ) -> PrimitiveCollectionData:
-    """Closed-form relation for the stage-p collection, from the b-vectors.
+    """Closed-form relation for the stage-p collection, from the b-vectors
+    of ``compute_b``.
 
     For p < m the right-hand side puts -mu(b_{p,q}) on u_{p+q}^0 and
     b_{p,q}^{(k)} - mu(b_{p,q}) on u_{p+q}^k, so the degree is
@@ -416,8 +414,8 @@ def expected_primitive_relation(
     members = collection_for_stage(t, p)
     rhs: dict[RayLabel, int] = {}
     for q in range(1, m - p + 1):
-        bpq = bv.b[(p, q)]
-        mn = bv.mins[(p, q)]
+        bpq = b[(p, q)]
+        mn = mu(bpq)
         if -mn > 0:
             rhs[(p + q, 0)] = -mn
         for k in range(1, t.stage_dims[p + q - 1] + 1):
@@ -438,18 +436,24 @@ def signed_relation(pr: PrimitiveCollectionData) -> dict[RayLabel, int]:
     return {lab: c for lab, c in rel.items() if c != 0}
 
 
-def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> WallData:
+def wall_relation(
+    f: Fan, t: GeneralizedBottTower, b: dict[tuple[int, int], IntVec], p: int
+) -> WallData:
     """Wall relation for the distinguished (n-1)-cone tau_p.
 
     tau_p consists of u_l^k (l < p, k >= 1), u_p^1 ... u_p^{n_p - 1} and,
-    for each q, every u_{p+q}^k with k != i_{p,q}.  The ray of the second
-    adjacent maximal cone that is not in the first is solved in the first
-    cone's basis by ``_cone_coordinates``, as in ``primitive_relation``, so
-    a first cone that is singular or not unimodular raises FanError.  The
-    relation is +1 on that ray and minus its coordinates on the first
-    cone's rays.  It is checked to sum to zero, and to be +1 on the first
-    cone's ray outside the wall (the two cones lie on opposite sides of
-    it), before it is returned.
+    for each q, every u_{p+q}^k with k != i_{p,q}.  The index i_{p,q} in
+    {0, 1, ..., n_{p+q}} picks an entry of (0, b^{(1)}, ..., b^{(n)})
+    attaining mu(b_{p,q}): 0 when mu(b_{p,q}) = 0, otherwise the smallest
+    k >= 1 with b_{p,q}^{(k)} = mu(b_{p,q}).
+
+    The ray of the second adjacent maximal cone that is not in the first
+    is solved in the first cone's basis by ``_cone_coordinates``, as in
+    ``primitive_relation``, so a first cone that is singular or not
+    unimodular raises FanError.  The relation is +1 on that ray and minus
+    its coordinates on the first cone's rays.  It is checked to sum to
+    zero, and to be +1 on the first cone's ray outside the wall (the two
+    cones lie on opposite sides of it), before it is returned.
     """
     m = t.num_stages
     if not 1 <= p <= m:
@@ -459,7 +463,9 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
         wall.update((l, k) for k in range(1, t.stage_dims[l - 1] + 1))
     wall.update((p, k) for k in range(1, t.stage_dims[p - 1]))
     for q in range(1, m - p + 1):
-        ipq = bv.argmins[(p, q)]
+        bpq = b[(p, q)]
+        mn = mu(bpq)
+        ipq = 1 + bpq.index(mn) if mn else 0
         wall.update(
             (p + q, k) for k in range(0, t.stage_dims[p + q - 1] + 1) if k != ipq
         )
@@ -469,12 +475,12 @@ def wall_relation(f: Fan, t: GeneralizedBottTower, bv: BVectors, p: int) -> Wall
     around = f.cones_containing(wall_idx)
     if around.bit_count() != 2:
         raise FanError(f"tau_{p} lies in {around.bit_count()} maximal cones, expected 2")
-    a, b = (around & -around).bit_length() - 1, around.bit_length() - 1
-    extra = f.cone_masks[b] & ~f.cone_masks[a]
+    c0, c1 = (around & -around).bit_length() - 1, around.bit_length() - 1
+    extra = f.cone_masks[c1] & ~f.cone_masks[c0]
     if extra.bit_count() != 1:
         raise FanError(f"the cones at tau_{p} differ by {extra.bit_count()} rays, expected 1")
     j = extra.bit_length() - 1
-    first = f.max_cones[a]
+    first = f.max_cones[c0]
     coords = _cone_coordinates([f.rays[i] for i in first], f.rays[j])
     coeffs = {i: -x for i, x in zip(first, coords)}
     coeffs[j] = 1

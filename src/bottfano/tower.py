@@ -79,33 +79,19 @@ class GeneralizedBottTower:
 
 
 @dataclass
-class BVectors:
-    """The b_{p,q} vectors with cached minima and chosen argmin indices.
-
-    ``argmins[(p, q)]`` is the index i_{p,q} in {0, 1, ..., n_{p+q}} of an
-    entry of (0, b^{(1)}, ..., b^{(n)}) attaining mu(b_{p,q}): 0 when the
-    minimum is 0, otherwise the smallest k >= 1 attaining it.
-    """
-
-    b: dict[tuple[int, int], IntVec]
-    mins: dict[tuple[int, int], int]
-    argmins: dict[tuple[int, int], int]
-
-
-@dataclass
 class Classification:
     """Tri-state verdict with the witnesses that produced it.
 
-    ``nu_sums``, ``thresholds`` and ``b_vectors`` are populated by the
-    closed-form classifier; ``degrees`` (primitive-collection degrees) by
-    the fan route.
+    ``nu_sums``, ``thresholds`` and ``b_vectors`` (the b_{p,q} keyed by
+    (p, q)) are populated by the closed-form classifier; ``degrees``
+    (primitive-collection degrees) by the fan route.
     """
 
     verdict: Verdict
     nu_sums: tuple[int, ...] = ()
     thresholds: tuple[tuple[int, int], ...] = ()
     degrees: dict | None = None
-    b_vectors: BVectors | None = None
+    b_vectors: dict[tuple[int, int], IntVec] | None = None
 
 
 @dataclass
@@ -169,13 +155,11 @@ def validate(t: GeneralizedBottTower) -> None:
                 raise TowerError(f"coefficients[j={j}][l={l}][k={k}] must be an integer, got {c!r}")
 
 
-def compute_b(t: GeneralizedBottTower) -> BVectors:
-    """Run the b_{p,q} recursion, caching mu values and argmin indices.
+def compute_b(t: GeneralizedBottTower) -> dict[tuple[int, int], IntVec]:
+    """Run the b_{p,q} recursion, returning the vectors keyed by (p, q).
     Each b_{p,q} adds only the terms r < q with mu(b_{p,r}) != 0."""
     m = t.num_stages
     b: dict[tuple[int, int], IntVec] = {}
-    mins: dict[tuple[int, int], int] = {}
-    argmins: dict[tuple[int, int], int] = {}
     for p in range(1, m):
         terms: list[tuple[int, int]] = []  # (r, mu(b_{p,r})) with mu != 0
         for q in range(1, m - p + 1):
@@ -185,26 +169,24 @@ def compute_b(t: GeneralizedBottTower) -> BVectors:
             bpq = tuple(vec)
             b[(p, q)] = bpq
             mn = mu(bpq)
-            mins[(p, q)] = mn
-            argmins[(p, q)] = 1 + bpq.index(mn) if mn else 0
             if mn:
                 terms.append((q, mn))
-    return BVectors(b=b, mins=mins, argmins=argmins)
+    return b
 
 
 def classify(t: GeneralizedBottTower) -> Classification:
     """Tri-state verdict from the nu-sum criterion: ``Verdict.from_degrees``
     of the stage degrees n_p + 1 - sum_q nu(b_{p,q}) for p < m."""
-    bv = compute_b(t)
+    b = compute_b(t)
     m = t.num_stages
     nu_sums = tuple(
-        sum(nu(bv.b[(p, q)]) for q in range(1, m - p + 1)) for p in range(1, m)
+        sum(nu(b[(p, q)]) for q in range(1, m - p + 1)) for p in range(1, m)
     )
     return Classification(
         verdict=Verdict.from_degrees(n + 1 - s for n, s in zip(t.stage_dims, nu_sums)),
         nu_sums=nu_sums,
         thresholds=tuple((n, n + 1) for n in t.stage_dims[:-1]),
-        b_vectors=bv,
+        b_vectors=b,
     )
 
 

@@ -78,6 +78,30 @@ def scan_primitive_relation(f, p) -> PrimitiveCollectionData:
     raise FanError("no maximal cone contains the ray sum; fan is not complete")
 
 
+def wall_degrees(f) -> dict[frozenset, int]:
+    """-K . V(tau) on every wall tau of a smooth complete fan, keyed by the
+    labels of tau: the toric Kleiman reference for Batyrev's criterion
+    (Reid, "Decomposition of toric morphisms", 1983; Cox, Little and
+    Schenck, *Toric Varieties*, Thm. 6.3.12-6.3.13).  -K is ample iff every
+    degree is > 0 and nef iff every degree is >= 0, and it needs no
+    primitive collection.  At the wall tau = sigma less its d-th ray, the
+    other cone's extra ray solved in sigma's basis is x, with x_d = -1, and
+    -K . V(tau) = 2 - sum_{k != d} x_k.  One solve per wall."""
+    cones = [sorted(cone) for cone in f.max_cones]
+    around: dict[frozenset, list[int]] = {}
+    for ci, cone in enumerate(cones):
+        for d in range(len(cone)):
+            around.setdefault(frozenset(cone[:d] + cone[d + 1:]), []).append(ci)
+    degrees = {}
+    for wall, (ci, cj) in around.items():
+        (w,) = set(cones[cj]) - wall
+        x = _cone_coordinates([f.rays[i] for i in cones[ci]], f.rays[w])
+        d = next(k for k, i in enumerate(cones[ci]) if i not in wall)
+        assert x[d] == -1, (f.to_labels(wall), x)
+        degrees[f.to_labels(wall)] = 2 - (sum(x) - x[d])
+    return degrees
+
+
 def make_tower(stage_dims, coeffs=None) -> GeneralizedBottTower:
     return GeneralizedBottTower(tuple(stage_dims), dict(coeffs or {}))
 

@@ -65,13 +65,13 @@ def report(num, ok, detail):
 def test_criterion_1_fano_example():
     start = time.perf_counter()
     t = fano_4stage()
-    bv = compute_b(t)
+    b = compute_b(t)
     c = classify(t)
     elapsed = time.perf_counter() - start
     ok = (
         c.verdict is Verdict.FANO
         and c.nu_sums == (3, 2, 1)
-        and bv.b == {
+        and b == {
             (1, 1): (-1, -1),
             (1, 2): (0, 1),
             (1, 3): (0, 1),
@@ -128,7 +128,7 @@ def test_criterion_4_chary_counterexample():
 def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
     mismatches = 0
-    for t, f, bv in sample():
+    for t, f, b in sample():
         if batyrev_classify(f).verdict is not classify(t).verdict:
             mismatches += 1
             continue
@@ -139,7 +139,7 @@ def test_criterion_5_oracle_equivalence():
             continue
         for p in range(1, t.num_stages + 1):
             got = primitive_relation(f, collection_for_stage(t, p))
-            want = expected_primitive_relation(t, bv, p)
+            want = expected_primitive_relation(t, b, p)
             if got.relation_rhs != want.relation_rhs or got.degree != want.degree:
                 mismatches += 1
                 break
@@ -181,9 +181,9 @@ def test_criterion_6_fan_validity():
 
 def test_criterion_7_wall_relations():
     mismatches = 0
-    for t, f, bv in sample():
+    for t, f, b in sample():
         for p in range(1, t.num_stages + 1):
-            wd = wall_relation(f, t, bv, p)
+            wd = wall_relation(f, t, b, p)
             pr = primitive_relation(f, collection_for_stage(t, p))
             if wd.relation != signed_relation(pr):
                 mismatches += 1

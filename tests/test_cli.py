@@ -52,7 +52,12 @@ class TestCheck:
         assert code == 0
         assert report["verdict"] == "fano"
         assert report["nu_sums"] == [3, 2, 1]
-        assert report["b_vectors"]["1,1"] == [-1, -1]
+        assert report["thresholds"] == [[3, 4], [2, 3], [2, 3]]
+        assert report["b_vectors"] == {
+            "1,1": [-1, -1], "1,2": [0, 1], "1,3": [0, 1],
+            "2,1": [0, -1], "2,2": [0, 0],
+            "3,1": [0, 1],
+        }
 
     def test_not_weak_fano_fixture(self, capsys):
         code, report, _ = run_machine(
@@ -468,7 +473,8 @@ class TestCharyCompare:
         assert err == "error: 3^19900 candidates exceed cap 1000000; raise --cap to proceed\n"
 
     def test_slot_count_refused_before_any_work(self, capsys, monkeypatch):
-        # one candidate over 0:0, but r = 100000 has 4,999,950,000 slots
+        # one candidate over 0:0, but r = 100000 has 4,999,950,000 slots: past the fixed
+        # limit, so raising --cap would not help and is not advised
         def fail(*args, **kwargs):
             raise AssertionError("a refused sweep reached the engine")
 
@@ -477,9 +483,7 @@ class TestCharyCompare:
         code, out, err = run(capsys, "chary-compare", "--r", "100000", "--range=0:0")
         assert code == 2
         assert out == ""
-        assert err == (
-            "error: 4999950000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
-        )
+        assert err == "error: 4999950000 coefficient slots exceed limit 100000\n"
 
     def test_slot_work_limit_refuses_under_the_cap_before_any_work(self, capsys, monkeypatch):
         # r = 1414 has 998,991 slots, under the default cap of 10^6
@@ -504,6 +508,4 @@ class TestCharyCompare:
         code, out, err = run(capsys, "chary-compare", "--r", "10000000", "--range=0:0")
         assert code == 2
         assert out == ""
-        assert err == (
-            "error: 49999995000000 coefficient slots exceed cap 1000000; raise --cap to proceed\n"
-        )
+        assert err == "error: 49999995000000 coefficient slots exceed limit 100000\n"

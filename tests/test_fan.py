@@ -34,6 +34,7 @@ from conftest import (
     random_tower,
     scan_primitive_relation,
     tail_determinants,
+    wall_degrees,
 )
 
 
@@ -499,8 +500,8 @@ class TestPrimitiveRelation:
 class TestExpectedPrimitiveRelation:
     def test_worked_example_stage_one(self):
         t = fano_4stage()
-        bv = compute_b(t)
-        pr = expected_primitive_relation(t, bv, 1)
+        b = compute_b(t)
+        pr = expected_primitive_relation(t, b, 1)
         assert pr.degree == 1
         # b_{1,1}=(-1,-1): mu=-1 puts 1 on u_2^0 and b^{(k)}-mu on u_2^k
         assert pr.relation_rhs[(2, 0)] == 1
@@ -528,9 +529,9 @@ class TestExpectedPrimitiveRelation:
         for _ in range(50):
             t = random_tower(rng)
             f = build_fan(t)
-            bv = compute_b(t)
+            b = compute_b(t)
             for p in range(1, t.num_stages + 1):
-                pr = expected_primitive_relation(t, bv, p)
+                pr = expected_primitive_relation(t, b, p)
                 total = [0] * f.dim
                 for lab in pr.members:
                     total = [x + y for x, y in zip(total, f.ray(lab))]
@@ -541,11 +542,14 @@ class TestExpectedPrimitiveRelation:
     def test_vanishing_argmin_coefficient(self, rng):
         for _ in range(50):
             t = random_tower(rng)
-            bv = compute_b(t)
+            b = compute_b(t)
             for p in range(1, t.num_stages):
-                pr = expected_primitive_relation(t, bv, p)
+                pr = expected_primitive_relation(t, b, p)
                 for q in range(1, t.num_stages - p + 1):
-                    assert (p + q, bv.argmins[(p, q)]) not in pr.relation_rhs
+                    # i_{p,q}: 0 when mu(b_{p,q}) = 0, else the first k >= 1 attaining it
+                    bpq = b[(p, q)]
+                    mn = min(0, *bpq)
+                    assert (p + q, bpq.index(mn) + 1 if mn else 0) not in pr.relation_rhs
 
 
 class TestBatyrevClassify:
@@ -567,6 +571,21 @@ class TestBatyrevClassify:
         for _ in range(60):
             t = random_tower(rng)
             assert batyrev_classify(build_fan(t)).verdict is classify(t).verdict
+
+    def test_agrees_with_the_wall_degrees(self, rng):
+        # the toric Kleiman degrees need no collection search, so a search that dropped
+        # the one collection of negative degree would disagree here; the wall tau_p
+        # carries the stage-p degree
+        for _ in range(200):
+            t = random_tower(rng)
+            f = build_fan(t)
+            assert len(f.rays) <= 16
+            walls = wall_degrees(f)
+            assert Verdict.from_degrees(walls.values()) is batyrev_classify(f).verdict
+            b = compute_b(t)
+            for p in range(1, t.num_stages + 1):
+                want = expected_primitive_relation(t, b, p).degree
+                assert walls[wall_relation(f, t, b, p).wall] == want
 
 
 def scrambled(f: Fan, rng) -> Fan:
@@ -650,6 +669,20 @@ class TestWallRelation:
     def test_projective_space(self):
         assert_simplex_wall(3)
 
+    def test_wall_omits_the_ray_at_i_pq(self):
+        # i_{p,q} is 0 when mu(b_{p,q}) = 0, else the smallest k >= 1 attaining mu:
+        # b_{1,1} = (-1, -1) gives 1, not 2; b_{1,2} = b_{1,3} = (0, 1) give 0;
+        # b_{2,1} = (0, -1) gives 2; b_{2,2} = (0, 0) gives 0
+        t = fano_4stage()
+        f = build_fan(t)
+        b = compute_b(t)
+        assert wall_relation(f, t, b, 1).wall == {
+            (1, 1), (1, 2), (2, 0), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2),
+        }
+        assert wall_relation(f, t, b, 2).wall == {
+            (1, 1), (1, 2), (1, 3), (2, 1), (3, 0), (3, 1), (4, 1), (4, 2),
+        }
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_simplex_relation(self, n):
         assert_simplex_wall(n)
@@ -658,9 +691,9 @@ class TestWallRelation:
         for _ in range(40):
             t = random_tower(rng)
             f = build_fan(t)
-            bv = compute_b(t)
+            b = compute_b(t)
             for p in range(1, t.num_stages + 1):
-                wd = wall_relation(f, t, bv, p)
+                wd = wall_relation(f, t, b, p)
                 total = [0] * f.dim
                 for lab, c in wd.relation.items():
                     total = [x + c * y for x, y in zip(total, f.ray(lab))]
@@ -694,12 +727,12 @@ class TestWallRelation:
     def test_wall_in_one_cone_raises(self, p):
         t = fano_4stage()
         f = build_fan(t)
-        bv = compute_b(t)
-        wall_idx = {f.index[lab] for lab in wall_relation(f, t, bv, p).wall}
+        b = compute_b(t)
+        wall_idx = {f.index[lab] for lab in wall_relation(f, t, b, p).wall}
         drop = next(c for c, cone in enumerate(f.max_cones) if wall_idx <= set(cone))
         cones = f.max_cones[:drop] + f.max_cones[drop + 1:]
         with pytest.raises(FanError) as excinfo:
-            wall_relation(replace(f, max_cones=cones), t, bv, p)
+            wall_relation(replace(f, max_cones=cones), t, b, p)
         assert str(excinfo.value) == f"tau_{p} lies in 1 maximal cones, expected 2"
 
     @pytest.mark.parametrize("p", [0, 3])
@@ -719,9 +752,9 @@ class TestWallRelation:
         for _ in range(40):
             t = random_tower(rng)
             f = build_fan(t)
-            bv = compute_b(t)
+            b = compute_b(t)
             for p in range(1, t.num_stages + 1):
-                wd = wall_relation(f, t, bv, p)
+                wd = wall_relation(f, t, b, p)
                 pr = primitive_relation(f, collection_for_stage(t, p))
                 assert wd.relation == signed_relation(pr)
 
