@@ -5,7 +5,9 @@ in ascending lexicographic order by ``coefficient_slots``.  One engine,
 shared by ``sweep`` and ``chary_compare``, decides them by a pruned
 depth-first search over whole coefficient vectors, column l = m-1 down
 to 1, with the closed-form nu-sum criterion; hits are tuples of slot
-values in lexicographic order.
+values in lexicographic order.  ``chary_compare`` runs it with a tighter
+bound that finds only the Fano towers, and generates the matrices that
+Chary's condition accepts instead of testing candidates against it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, product
 
-from .tower import BottMatrix, Verdict, chary_condition
+from .tower import Verdict
 
 DEFAULT_CAP = 10**6
 
@@ -140,7 +142,7 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _search(s: SweepSpec) -> tuple[dict[str, int], list[tuple[int, ...]]]:
+def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list[tuple[int, ...]]]:
     """Census counts and sorted hits of the sweep ``s``.
 
     A depth-first search assigns whole coefficient vectors a_{j,p}: column
@@ -151,6 +153,11 @@ def _search(s: SweepSpec) -> tuple[dict[str, int], list[tuple[int, ...]]]:
     past n_p + 1 only grows: every completion of the path is then counted
     as not weak Fano without being visited.  A leaf is Fano iff every
     stage's sum is at most n_p.  No tower is built.
+
+    With ``fano_only`` the bound is n_p: a Fano tower needs every stage's
+    sum at most n_p, so the subtrees cut besides are weak Fano at best, and
+    the hits of a ``fano`` run are unchanged, but the counts lump those
+    subtrees in with not weak Fano.
     """
     dims = s.stage_dims
     m = len(dims)
@@ -160,6 +167,7 @@ def _search(s: SweepSpec) -> tuple[dict[str, int], list[tuple[int, ...]]]:
     counts = dict.fromkeys((fano, weak, not_weak), 0)
     hits: list[tuple[int, ...]] = []
     record = s.mode != "census"
+    slack = 0 if fano_only else 1
     cells = [(p + q, p) for p in range(m - 1, 0, -1) for q in range(1, m - p + 1)]
     if not cells:  # one stage: one candidate, and no stage p < m to test
         counts[fano] = 1
@@ -198,7 +206,7 @@ def _search(s: SweepSpec) -> tuple[dict[str, int], list[tuple[int, ...]]]:
             b = vec if offset is None else [v + o for v, o in zip(vec, offset)]
             mn = min(0, *b)
             total = partial + sum(b) - n1 * mn  # + nu(b_{p,q})
-            if total > n_p + 1:
+            if total > n_p + slack:
                 counts[not_weak] += below[d]
                 continue
             a[cell] = vec
@@ -224,30 +232,49 @@ def sweep(s: SweepSpec) -> SweepReport:
     return SweepReport(sum(counts.values()), coefficient_slots(s.stage_dims), hits, counts)
 
 
+def _chary_matrices(r: int, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The r x r Bott matrices that satisfy Chary's condition with every
+    entry right of the diagonal in lo:hi, each as those entries in
+    row-major order, in ascending lexicographic order.
+
+    Rows are chosen from the bottom up.  Each is zero, or holds one -1, or
+    one +1 at a column q whose row q is zero right of the diagonal (the
+    last row always is), and is a candidate only if all its entries lie in
+    lo:hi, zeros included.
+    """
+    inside = range(lo, hi + 1)
+    tails = [()]  # the rows below the next, top first
+    for w in range(1, r):  # the next row has w entries right of the diagonal
+        zero = (0,) * w
+        units = [(zero[:c] + (v,) + zero[c + 1:], c if v == 1 else None)
+                 for c in range(w) for v in (-1, 1)]
+        rows = [(row, c) for row, c in [(zero, None), *units] if all(x in inside for x in row)]
+        # a +1 at entry c needs tail[c], the row of its column, to be zero;
+        # entry w - 1 lies in the last column, whose row is empty
+        tails = [(row,) + tail for tail in tails for row, c in rows
+                 if c is None or c == w - 1 or not any(tail[c])]
+    return sorted(tuple(chain.from_iterable(tail)) for tail in tails)
+
+
 def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -> CharyCompareReport:
     """Compare Chary's sign condition against the Fano verdict over all
     upper triangular unit-diagonal matrices with off-diagonal entries in
     the given range, listed in row-major lexicographic order.  The Fano
     set comes from the sweep engine, run in ``fano`` mode on stages
-    (1,)*r over the negated range, as beta_{l,j} = -a_{j,l}."""
+    (1,)*r over the negated range, as beta_{l,j} = -a_{j,l}, and bounded
+    at n_p, since the weak Fano leaves are not needed; Chary's matrices
+    are generated row by row (see ``_chary_matrices``).  The work grows
+    with those two sets, not with the candidate count."""
     if type(r) is not int or r < 2:
         raise SweepError(f"chary_compare requires an integer r >= 2, got {r!r}")
     # refuse by size before the r-tuple of stages is built
     lo, hi = _check_extent(beta_range, cap, r * (r - 1) // 2)
     dims = (1,) * r
-    _, towers = _search(SweepSpec(dims, (-hi, -lo), mode="fano", cap=cap))
+    _, towers = _search(SweepSpec(dims, (-hi, -lo), mode="fano", cap=cap), fano_only=True)
     position = {(j, l): i for i, (j, l, _) in enumerate(coefficient_slots(dims))}
     pairs = [(l, j) for l in range(1, r + 1) for j in range(l + 1, r + 1)]  # row-major
     fano_set = {tuple(-h[position[(j, l)]] for l, j in pairs) for h in towers}
-    # Chary's clauses leave at most one nonzero entry right of the diagonal
-    # in each row, so no matrix with more can be accepted
-    rows = [[t for t in product(range(lo, hi + 1), repeat=r - i) if sum(map(bool, t)) <= 1]
-            for i in range(1, r)]
-    chary = []
-    for upper in product(*rows):
-        beta = [(0,) * i + (1,) + row for i, row in enumerate(upper)] + [(0,) * (r - 1) + (1,)]
-        if chary_condition(BottMatrix(beta)):
-            chary.append(tuple(chain.from_iterable(upper)))
+    chary = _chary_matrices(r, lo, hi)
     return CharyCompareReport(
         total=(hi - lo + 1) ** len(pairs),
         chary_not_fano=[v for v in chary if v not in fano_set],

@@ -44,7 +44,8 @@ def _next_rows(rows: list[list[int]], y: list[int]) -> tuple[int, int]:
     its entry of y reduced mod the pivot (exactly 0 under a +-1 pivot).
     Every step is unimodular, so ``rows`` keeps its determinant.  The list
     ``rows`` and ``y`` change in place, but no row is written to: a changed
-    row is replaced by a new list, and rows with a zero in y are kept.
+    row is replaced by a new list, a copy updated only at the columns where
+    the pivot row is nonzero, and rows with a zero in y are kept.
     """
     while True:
         if 1 in y:
@@ -55,13 +56,17 @@ def _next_rows(rows: list[list[int]], y: list[int]) -> tuple[int, int]:
             p = min((i for i, v in enumerate(y) if v), key=lambda i: abs(y[i]), default=-1)
             if p < 0:
                 return 0, 0
-        yp, prow = y[p], rows[p]
+        yp = y[p]
         y[p] = 0
         if any(y):
+            pivot = [(c, b) for c, b in enumerate(rows[p]) if b]
             for i, v in enumerate(y):
                 if v:
                     q = v // yp
-                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+                    row = list(rows[i])
+                    for c, b in pivot:
+                        row[c] -= q * b
+                    rows[i] = row
                     y[i] = v - q * yp
             if yp != 1 and yp != -1 and any(y):
                 y[p] = yp

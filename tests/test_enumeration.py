@@ -191,6 +191,23 @@ def reference_chary_compare(r, lo, hi):
     return (hi - lo + 1) ** len(slots), chary_not_fano, fano_not_chary
 
 
+def reference_chary_matrices(r, lo, hi):
+    """The row-major off-diagonal entries, in product order, of the matrices
+    that satisfy ``chary_condition``.  Past 10**5 candidates the product
+    runs over rows with at most one nonzero entry, as a row with two fails
+    both of Chary's clauses; that keeps the product's order."""
+    inside = range(lo, hi + 1)
+    rows = [list(product(inside, repeat=w)) for w in range(r - 1, 0, -1)]
+    if len(inside) ** (r * (r - 1) // 2) > 10**5:
+        rows = [[t for t in ts if sum(map(bool, t)) <= 1] for ts in rows]
+    found = []
+    for upper in product(*rows):
+        beta = [(0,) * i + (1,) + row for i, row in enumerate(upper)] + [(0,) * (r - 1) + (1,)]
+        if chary_condition(BottMatrix(beta)):
+            found.append(sum(upper, ()))
+    return found
+
+
 #: inputs whose fano_not_chary is not empty, so the comparison pins sign and order
 PINNING_CHARY_INPUTS = [(3, -2, 1), (3, -2, 2), (4, -1, 1), (3, 1, 2), (4, 0, 1)]
 
@@ -225,18 +242,35 @@ class TestEngineMatchesReferenceLoops:
         if (r, lo, hi) in PINNING_CHARY_INPUTS:
             assert report.fano_not_chary  # an empty list would pin no sign or order
 
-    def test_chary_condition_only_on_rows_it_can_accept(self, monkeypatch):
+    def test_chary_matrices_generated_not_tested(self, monkeypatch):
         calls = []
 
         def counting_chary_condition(b):
             calls.append(b)
             return chary_condition(b)
 
-        monkeypatch.setattr(enumeration, "chary_condition", counting_chary_condition)
+        def counting_post_init(b):
+            calls.append(b)
+            return bott_post_init(b)
+
+        bott_post_init = BottMatrix.__post_init__
+        monkeypatch.setattr(BottMatrix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(tower, "chary_condition", counting_chary_condition)
+        monkeypatch.setattr(enumeration, "chary_condition", counting_chary_condition, raising=False)
         report = chary_compare(4, (-1, 1))
         assert report.total == 729 and len(report.fano_not_chary) == 32
-        # 7 * 5 * 3 matrices hold at most one nonzero entry in each row
-        assert len(calls) <= 105
+        assert calls == []
+        assert chary_condition(BottMatrix(((1, 0), (0, 1))))
+        assert len(calls) == 1  # the counter sees a matrix that is built
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("lo, hi", [
+        # 0:0 and 1:1 test that a zero row, and the zeros around a lone
+        # entry in a row of width >= 2, are kept only when 0 is in range
+        (-1, 1), (-2, 2), (0, 1), (-1, 0), (0, 0), (1, 3), (-3, -1), (1, 1),
+    ])
+    def test_chary_matrices_match_the_condition(self, r, lo, hi):
+        assert enumeration._chary_matrices(r, lo, hi) == reference_chary_matrices(r, lo, hi)
 
     def test_cap_refused_before_any_candidate(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -263,6 +297,22 @@ class TestPrunedSearch:
         report = sweep(SweepSpec((1,) * m, (lo, hi), mode="fano"))
         assert report.counts["fano"] == len(report.hits) == fano
         assert report.total == sum(report.counts.values()) == (hi - lo + 1) ** (m * (m - 1) // 2)
+
+    @pytest.mark.parametrize("r, fano", [(2, 3), (3, 15), (4, 105), (5, 945), (6, 10395)])
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (-2, 2)])
+    def test_fano_only_bound_keeps_every_fano_tower(self, r, fano, lo, hi):
+        """(1,)^r has (2r - 1)!! Fano towers over any range holding -1:1.
+
+        By bott_fano's three clauses, column p = r-1 down to 1 has one
+        choice from (1), r - p from (2) (the place of the single 1) and
+        r - p from (3) (the place q of the -1; column p + q fixes the
+        entries after it): 2(r - p) + 1 in all, every entry in -1:1.
+        """
+        spec = SweepSpec((1,) * r, (lo, hi), mode="fano", cap=(hi - lo + 1) ** (r * (r - 1) // 2))
+        _, hits = enumeration._search(spec, fano_only=True)
+        assert len(hits) == fano
+        if r <= 5:
+            assert hits == sweep(spec).hits
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_fano_set_is_built_from_the_three_clauses(self, m):
