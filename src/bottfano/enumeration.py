@@ -4,7 +4,8 @@ Candidates are the assignments of the coefficient slots (j, l, k), listed
 in ascending lexicographic order by ``coefficient_slots``.  One engine,
 shared by ``sweep`` and ``chary_compare``, decides them by a pruned
 depth-first search over whole coefficient vectors, column l = m-1 down
-to 1, with the closed-form nu-sum criterion; hits are tuples of slot
+to 1, with the closed-form nu-sum criterion, and counts the last vector
+of every path from a memo of its nu values; hits are tuples of slot
 values in lexicographic order.  ``chary_compare`` runs it with a tighter
 bound that finds only the Fano towers, and generates the matrices that
 Chary's condition accepts instead of testing candidates against it.
@@ -12,8 +13,10 @@ Chary's condition accepts instead of testing candidates against it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, product
+from operator import add, itemgetter
 
 from .tower import Verdict
 
@@ -61,11 +64,11 @@ class SweepError(ValueError):
 
 
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
-    """Check the range ends and the cap, then refuse a sweep of ``nslots``
-    slots over ``coeff_range`` whose slot count exceeds ``SLOT_WORK_LIMIT``,
-    or whose candidate count, or slot count, exceeds ``cap``; return the
-    range ends.  The fixed limit comes first, so "raise --cap" is advised
-    only where raising the cap can help."""
+    """Check the range ends and the cap, a positive int, then refuse a
+    sweep of ``nslots`` slots over ``coeff_range`` whose slot count exceeds
+    ``SLOT_WORK_LIMIT``, or whose candidate count, or slot count, exceeds
+    ``cap``; return the range ends.  The fixed limit comes first, so
+    "raise --cap" is advised only where raising the cap can help."""
     try:
         lo, hi = coeff_range
     except (TypeError, ValueError):
@@ -76,6 +79,8 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
         raise SweepError(f"empty coefficient range {lo}:{hi}")
     if type(cap) is not int:
         raise SweepError(f"cap must be an integer, got {cap!r}")
+    if cap < 1:  # every sweep has a candidate, so no smaller cap admits one
+        raise SweepError(f"cap must be a positive integer, got {cap}")
     if nslots > SLOT_WORK_LIMIT:
         raise SweepError(f"{nslots} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     width = hi - lo + 1
@@ -154,6 +159,16 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     as not weak Fano without being visited.  A leaf is Fano iff every
     stage's sum is at most n_p.  No tower is built.
 
+    The last cell, a_{m,1}, closes stage 1 and has no cell below it, so
+    its leaves depend only on stage 1's partial sum, whether the path is
+    Fano so far, and the offset sum_r mu(b_{1,r}) a_{m,1+r}.  Each parent
+    of that cell counts its leaves from a memo, local to the call, without
+    a frame: per offset seen, the nu of b_{1,m-1} = v + offset, ascending,
+    for the vectors v of the range with nu within the bound on stage 1's
+    sum (no parent's threshold is higher, since partial sums are >= 0),
+    and those v in the same order.  Two bisections split the range into
+    Fano, weak Fano and the rest, and the hits are a prefix of the v.
+
     With ``fano_only`` the bound is n_p: a Fano tower needs every stage's
     sum at most n_p, so the subtrees cut besides are weak Fano at best, and
     the hits of a ``fano`` run are unchanged, but the counts lump those
@@ -179,23 +194,60 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
         rest += dims[j - 1]
     below.reverse()
     order = [(j, l) for j in range(2, m + 1) for l in range(1, j)]  # slot order
+    at = order.index((m, 1))
     a: dict[tuple[int, int], tuple[int, ...]] = {}
     # per depth: vectors left, offset, partial sum, Fano so far, and the
     # pairs (r, mu(b_{p,r})) with mu != 0 above the cell in its column
     frames: list = [None] * len(cells)
-    last = len(cells) - 1
+    last = len(cells) - 1  # cell (m, 1), counted from `leaves` without a frame
+    n_m = dims[m - 1]
+    n_vecs = (hi - lo + 1) ** n_m
+    bound = dims[0] + slack
+    # offset -> (nus, vecs): nu(v + offset) of the vectors v of cell (m, 1)
+    # with nu at most n_1 + slack, ascending, and those v in the same order
+    leaves: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
 
-    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> None:
+    def rank_last(offset: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+        scored = []
+        for v in product(values, repeat=n_m):
+            b = list(map(add, v, offset))
+            nu_b = sum(b) - (n_m + 1) * min(0, *b)
+            if nu_b <= bound:
+                scored.append((nu_b, v))
+        scored.sort(key=itemgetter(0))
+        return [nu_b for nu_b, _ in scored], [v for _, v in scored]
+
+    def count_last(offset: tuple[int, ...], partial: int, ok: bool) -> None:
+        entry = leaves.get(offset)
+        if entry is None:
+            entry = leaves[offset] = rank_last(offset)
+        nus, vecs = entry
+        f = bisect_right(nus, dims[0] - partial) if ok else 0
+        w = bisect_right(nus, bound - partial)
+        counts[fano] += f
+        counts[weak] += w - f
+        counts[not_weak] += n_vecs - w
+        if record and (n_hits := f if s.mode == "fano" else w):
+            head = tuple(x for jl in order[:at] for x in a[jl])
+            tail = tuple(x for jl in order[at + 1:] for x in a[jl])
+            hits.extend(head + v + tail for v in vecs[:n_hits])
+
+    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> bool:
+        """Push a frame for cell d, or count cell d at once if it is the
+        last; return whether a frame was pushed."""
         # b_{p,q} = a_{p+q,p} + offset, offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}
         j, p = cells[d]
         offset = [0] * dims[j - 1]
         for r, mr in nonzero:
             offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
+        if d == last:
+            count_last(tuple(offset), partial, ok)
+            return False
         frames[d] = (product(values, repeat=dims[j - 1]), offset if any(offset) else None,
                      partial, ok, nonzero)
+        return True
 
-    enter(0, 0, True, ())
-    d = 0
+    d = 0 if enter(0, 0, True, ()) else -1
     while d >= 0:
         cell = j, p = cells[d]
         vecs, offset, partial, ok, nonzero = frames[d]
@@ -211,16 +263,13 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
                 continue
             a[cell] = vec
             now_ok = ok and (total <= n_p or not closes)
-            if d < last:
-                if closes:
-                    enter(d + 1, 0, now_ok, ())
-                else:
-                    enter(d + 1, total, now_ok, nonzero + ((j - p, mn),) if mn else nonzero)
+            if closes:
+                pushed = enter(d + 1, 0, now_ok, ())
+            else:
+                pushed = enter(d + 1, total, now_ok, nonzero + ((j - p, mn),) if mn else nonzero)
+            if pushed:
                 d += 1
                 break
-            counts[fano if now_ok else weak] += 1
-            if record and (now_ok or s.mode == "weak_fano"):
-                hits.append(tuple(x for jl in order for x in a[jl]))
         else:
             d -= 1
     hits.sort()

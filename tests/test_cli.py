@@ -446,6 +446,13 @@ class TestEnumerate:
         assert code == 2
         assert err == "error: 15625 candidates exceed cap 10; raise --cap to proceed\n"
 
+    def test_cap_below_one_refused(self, capsys):
+        for cmd in (["enumerate", "--stages", "1,2"], ["chary-compare", "--r", "3"]):
+            code, out, err = run(capsys, *cmd, "--range=-1:1", "--cap", "-5")
+            assert code == 2
+            assert out == ""
+            assert err == "error: cap must be a positive integer, got -5\n"
+
     def test_zero_stage_is_validation_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--stages", "0,1", "--range=-1:1")
         assert code == 2

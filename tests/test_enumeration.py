@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -97,6 +98,15 @@ class TestSweep:
     def test_non_int_cap_rejected(self, cap):
         with pytest.raises(SweepError, match="cap must be an integer"):
             SweepSpec((1, 1), (-1, 1), cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refused(self, cap):
+        # every sweep has a candidate; the cap is checked before the slot limit
+        with pytest.raises(SweepError, match=f"^cap must be a positive integer, got {cap}$"):
+            SweepSpec((1, SLOT_WORK_LIMIT + 1), (-1, 1), cap=cap)
+        with pytest.raises(SweepError, match=f"^cap must be a positive integer, got {cap}$"):
+            chary_compare(3, (-1, 1), cap=cap)
+        assert SweepSpec((1, 1), (0, 0), cap=1).cap == 1
 
     def test_slot_count_refused_on_a_single_candidate(self):
         # 100 line stages have 4,950 slots and, over 0:0, one candidate
@@ -225,12 +235,27 @@ class TestEngineMatchesReferenceLoops:
         ((3, 3, 2), -1, 1),
         ((1, 1), -2, 2),
         ((4,), -1, 1),
+        # the last cell (m, 1) is counted from its memo: a wide last stage,
+        # ranges without 0, and m = 2, where the root is that cell
+        ((2, 1, 3), -1, 1),
+        ((1, 3), -2, 2),
+        ((1, 1, 2), 1, 3),
+        ((1, 1, 2), -3, -1),
+        ((2, 2), -2, 2),
     ])
     def test_pruned_search_in_every_mode(self, stage_dims, lo, hi):
         for mode in SWEEP_MODES:
             report = sweep(SweepSpec(stage_dims, (lo, hi), mode=mode))
             expected = reference_sweep(stage_dims, lo, hi, mode)
             assert (report.total, report.slots, report.hits, report.counts) == expected, mode
+        spec = SweepSpec(stage_dims, (lo, hi), mode="fano")
+        report = sweep(spec)
+        counts, hits = enumeration._search(spec, fano_only=True)
+        assert hits == report.hits
+        # the bound n_p cuts every weak Fano subtree, so those count as not weak Fano
+        assert counts == {
+            "fano": len(hits), "weak_fano_not_fano": 0, "not_weak_fano": report.total - len(hits),
+        }
 
     @pytest.mark.parametrize("r, lo, hi", [
         *PINNING_CHARY_INPUTS, (2, -1, 1), (3, -2, -1), (4, 0, 0),
@@ -348,6 +373,29 @@ class TestPrunedSearch:
         assert calls == []
         GeneralizedBottTower((1, 1), {(2, 1): (0,)})
         assert len(calls) == 1  # the counter sees a tower that is built
+
+    def test_last_cell_counted_from_its_memo(self, monkeypatch):
+        # 5^15 candidates; a frame per parent of cell (4, 1) made 9,457
+        # product calls over the last stage (n_4 = 4); a memo entry makes one
+        calls = []
+
+        def counting_product(*args, **kwargs):
+            calls.append(kwargs.get("repeat"))
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "product", counting_product)
+        tracemalloc.start()
+        try:
+            report = sweep(SweepSpec((1, 1, 1, 4), (-2, 2), mode="census", cap=5**15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total == 5**15
+        assert report.counts == {
+            "fano": 480, "weak_fano_not_fano": 37_128, "not_weak_fano": 30_517_540_517,
+        }
+        assert calls.count(4) < 1000
+        assert peak < 4 * 2**20
 
     def test_width_one_range_on_many_stages(self):
         # 4,950 vectors deep: the search keeps its own stack, not Python's
