@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import enumeration, fan as fanmod, tower as towermod
 from .enumeration import FANO_THREE_STAGE_TRIPLES, SweepError, SweepSpec
@@ -103,9 +104,22 @@ def _emit(report: dict, args, human_lines) -> None:
             print(line)
 
 
+def _require_printable(numbers) -> None:
+    """Refuse, before anything is printed, output holding an int that
+    ``str`` refuses: parsing bounds the input integers, but the b-vectors
+    and nu-sums computed from them can be far longer."""
+    try:
+        str(max(map(abs, numbers), default=0))
+    except ValueError:
+        raise TowerError(f"this tower's output would hold an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print") from None
+
+
 def cmd_check(args) -> int:
     t = parse_document(_read_input(args))
     cls = towermod.classify(t)
+    _require_printable(chain(cls.nu_sums, chain.from_iterable(cls.thresholds),
+                             chain.from_iterable(cls.b_vectors.values())))
     report = {
         "command": "check",
         "stages": list(t.stage_dims),
@@ -149,12 +163,15 @@ def cmd_check(args) -> int:
 
 def cmd_fan(args) -> int:
     t = parse_document(_read_input(args))
-    f = fanmod.build_fan(t)
-    fanmod.validate_smooth_complete(f)
+    # the size check first: a stage past the fan limit can be too wide to list its collection
+    fanmod.check_fan_size(t)
     b = towermod.compute_b(t)
     relations = [
         fanmod.expected_primitive_relation(t, b, p) for p in range(1, t.num_stages + 1)
     ]
+    _require_printable(chain.from_iterable((*pr.relation_rhs.values(), pr.degree) for pr in relations))
+    f = fanmod.build_fan(t)
+    fanmod.validate_smooth_complete(f)
     report = {
         "command": "fan",
         "stages": list(t.stage_dims),

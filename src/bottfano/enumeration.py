@@ -4,8 +4,8 @@ Candidates are the assignments of the coefficient slots (j, l, k), listed
 in ascending lexicographic order by ``coefficient_slots``.  One engine,
 shared by ``sweep`` and ``chary_compare``, decides them by a pruned
 depth-first search over whole coefficient vectors, column l = m-1 down
-to 1, with the closed-form nu-sum criterion, and counts the last vector
-of every path from a memo of its nu values; hits are tuples of slot
+to 1, with the closed-form nu-sum criterion, and decides every vector
+from one memo of nu values, local to the search; hits are tuples of slot
 values in lexicographic order.  ``chary_compare`` runs it with a tighter
 bound that finds only the Fano towers, and generates the matrices that
 Chary's condition accepts instead of testing candidates against it.
@@ -152,22 +152,20 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
 
     A depth-first search assigns whole coefficient vectors a_{j,p}: column
     p = m-1 down to 1, and within a column j = p+1 up to m.  Stage p's
-    nu-sum reads only columns l >= p, and b_{p,q} only a_{p+q,p}, the
-    vectors above it in column p and columns to its right, so each b_{p,q}
-    is computed once per assignment of those.  nu >= 0, so a partial sum
-    past n_p + 1 only grows: every completion of the path is then counted
-    as not weak Fano without being visited.  A leaf is Fano iff every
-    stage's sum is at most n_p.  No tower is built.
+    nu-sum reads only columns l >= p, and b_{p,q} = a_{p+q,p} + offset
+    only the vectors above it in column p and in columns to its right,
+    through offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}.  No tower is built.
 
-    The last cell, a_{m,1}, closes stage 1 and has no cell below it, so
-    its leaves depend only on stage 1's partial sum, whether the path is
-    Fano so far, and the offset sum_r mu(b_{1,r}) a_{m,1+r}.  Each parent
-    of that cell counts its leaves from a memo, local to the call, without
-    a frame: per offset seen, the nu of b_{1,m-1} = v + offset, ascending,
-    for the vectors v of the range with nu within the bound on stage 1's
-    sum (no parent's threshold is higher, since partial sums are >= 0),
-    and those v in the same order.  Two bisections split the range into
-    Fano, weak Fano and the rest, and the hits are a prefix of the v.
+    Every cell is decided from one memo, local to the call: per bound on
+    stage p's sum (n_p + 1) and offset seen, the nu and mu of v + offset,
+    ascending by nu, for the vectors v of the range with that nu within
+    the bound, and those v in the same order.  nu >= 0, so a path whose
+    partial sum would pass the bound only grows: one bisection splits off
+    the vectors that do, and every completion of them is counted as not
+    weak Fano without being visited.  The rest are visited in nu order.
+    The last cell, a_{m,1}, has no cell below it, so a second bisection
+    splits its remaining vectors into Fano (stage 1's sum at most n_1, on
+    a path Fano so far) and weak Fano, and the hits are a prefix of the v.
 
     With ``fano_only`` the bound is n_p: a Fano tower needs every stage's
     sum at most n_p, so the subtrees cut besides are weak Fano at best, and
@@ -178,6 +176,7 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     m = len(dims)
     lo, hi = s.coeff_range
     values = range(lo, hi + 1)
+    width = hi - lo + 1
     fano, weak, not_weak = (v.value for v in Verdict)
     counts = dict.fromkeys((fano, weak, not_weak), 0)
     hits: list[tuple[int, ...]] = []
@@ -190,83 +189,77 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     # below[d]: the candidates that share an assignment of cells[:d + 1]
     below, rest = [], 0
     for j, _ in reversed(cells):
-        below.append((hi - lo + 1) ** rest)
+        below.append(width ** rest)
         rest += dims[j - 1]
     below.reverse()
     order = [(j, l) for j in range(2, m + 1) for l in range(1, j)]  # slot order
     at = order.index((m, 1))
     a: dict[tuple[int, int], tuple[int, ...]] = {}
-    # per depth: vectors left, offset, partial sum, Fano so far, and the
-    # pairs (r, mu(b_{p,r})) with mu != 0 above the cell in its column
+    # per depth: indices left into the memo entry, the entry, partial sum,
+    # Fano so far, and the pairs (r, mu(b_{p,r})) with mu != 0 above the
+    # cell in its column
     frames: list = [None] * len(cells)
-    last = len(cells) - 1  # cell (m, 1), counted from `leaves` without a frame
-    n_m = dims[m - 1]
-    n_vecs = (hi - lo + 1) ** n_m
-    bound = dims[0] + slack
-    # offset -> (nus, vecs): nu(v + offset) of the vectors v of cell (m, 1)
-    # with nu at most n_1 + slack, ascending, and those v in the same order
-    leaves: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
+    last = len(cells) - 1  # cell (m, 1)
+    # (bound, offset) -> (nus, mus, vecs): nu(v + offset), ascending, and
+    # mu(v + offset) of the vectors v of the range with that nu at most
+    # bound, and those v in the same order
+    memo: dict[tuple[int, tuple[int, ...]], tuple[list[int], list[int], list[tuple[int, ...]]]] = {}
 
-    def rank_last(offset: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+    def rank(bound: int, offset: tuple[int, ...]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+        n = len(offset)
         scored = []
-        for v in product(values, repeat=n_m):
+        for v in product(values, repeat=n):
             b = list(map(add, v, offset))
-            nu_b = sum(b) - (n_m + 1) * min(0, *b)
+            mn = min(0, *b)
+            nu_b = sum(b) - (n + 1) * mn
             if nu_b <= bound:
-                scored.append((nu_b, v))
+                scored.append((nu_b, mn, v))
         scored.sort(key=itemgetter(0))
-        return [nu_b for nu_b, _ in scored], [v for _, v in scored]
-
-    def count_last(offset: tuple[int, ...], partial: int, ok: bool) -> None:
-        entry = leaves.get(offset)
-        if entry is None:
-            entry = leaves[offset] = rank_last(offset)
-        nus, vecs = entry
-        f = bisect_right(nus, dims[0] - partial) if ok else 0
-        w = bisect_right(nus, bound - partial)
-        counts[fano] += f
-        counts[weak] += w - f
-        counts[not_weak] += n_vecs - w
-        if record and (n_hits := f if s.mode == "fano" else w):
-            head = tuple(x for jl in order[:at] for x in a[jl])
-            tail = tuple(x for jl in order[at + 1:] for x in a[jl])
-            hits.extend(head + v + tail for v in vecs[:n_hits])
+        return [x[0] for x in scored], [x[1] for x in scored], [x[2] for x in scored]
 
     def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> bool:
-        """Push a frame for cell d, or count cell d at once if it is the
-        last; return whether a frame was pushed."""
-        # b_{p,q} = a_{p+q,p} + offset, offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}
+        """Count the vectors of cell d past the bound, then push a frame
+        over the rest, or count them at once if d is the last cell; return
+        whether a frame was pushed."""
         j, p = cells[d]
         offset = [0] * dims[j - 1]
         for r, mr in nonzero:
             offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
-        if d == last:
-            count_last(tuple(offset), partial, ok)
-            return False
-        frames[d] = (product(values, repeat=dims[j - 1]), offset if any(offset) else None,
-                     partial, ok, nonzero)
-        return True
+        bound = dims[p - 1] + slack
+        key = (bound, tuple(offset))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = rank(*key)
+        nus, _, vecs = entry
+        w = bisect_right(nus, bound - partial)
+        counts[not_weak] += (width ** len(offset) - w) * below[d]
+        if d < last:
+            frames[d] = (iter(range(w)), entry, partial, ok, nonzero)
+            return True
+        f = bisect_right(nus, dims[0] - partial) if ok else 0
+        counts[fano] += f
+        counts[weak] += w - f
+        if record and (n_hits := f if s.mode == "fano" else w):
+            head = tuple(x for jl in order[:at] for x in a[jl])
+            tail = tuple(x for jl in order[at + 1:] for x in a[jl])
+            hits.extend(head + v + tail for v in vecs[:n_hits])
+        return False
 
     d = 0 if enter(0, 0, True, ()) else -1
     while d >= 0:
         cell = j, p = cells[d]
-        vecs, offset, partial, ok, nonzero = frames[d]
-        n1 = dims[j - 1] + 1
+        left, (nus, mus, vecs), partial, ok, nonzero = frames[d]
         n_p = dims[p - 1]
         closes = j == m  # b_{p,m-p} completes stage p's sum
-        for vec in vecs:
-            b = vec if offset is None else [v + o for v, o in zip(vec, offset)]
-            mn = min(0, *b)
-            total = partial + sum(b) - n1 * mn  # + nu(b_{p,q})
-            if total > n_p + slack:
-                counts[not_weak] += below[d]
-                continue
-            a[cell] = vec
+        for i in left:
+            a[cell] = vecs[i]
+            total = partial + nus[i]  # + nu(b_{p,q})
             now_ok = ok and (total <= n_p or not closes)
             if closes:
                 pushed = enter(d + 1, 0, now_ok, ())
             else:
-                pushed = enter(d + 1, total, now_ok, nonzero + ((j - p, mn),) if mn else nonzero)
+                pushed = enter(d + 1, total, now_ok,
+                               nonzero + ((j - p, mus[i]),) if mus[i] else nonzero)
             if pushed:
                 d += 1
                 break

@@ -139,15 +139,21 @@ class WallData:
     relation: dict[RayLabel, int]
 
 
-def build_fan(t: GeneralizedBottTower) -> Fan:
-    """The tower's fan; first refuses it if prod(n_l + 1) * dim^2 exceeds FAN_WORK_LIMIT."""
-    m = t.num_stages
-    dims = t.stage_dims
+def check_fan_size(t: GeneralizedBottTower) -> None:
+    """Refuse the tower's fan if prod(n_l + 1) * dim^2 exceeds FAN_WORK_LIMIT."""
     n = t.dim
-    cones = prod(nl + 1 for nl in dims)
+    cones = prod(nl + 1 for nl in t.stage_dims)
     if cones * n * n > FAN_WORK_LIMIT:
         size = "over 10^3000 cones" if cones >> PRINTABLE_BITS else f"{cones} cones of dimension {n}"
         raise FanError(f"fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2")
+
+
+def build_fan(t: GeneralizedBottTower) -> Fan:
+    """The tower's fan; first refuses it as ``check_fan_size`` does."""
+    check_fan_size(t)
+    m = t.num_stages
+    dims = t.stage_dims
+    n = t.dim
     offsets = [0]
     for nl in dims:
         offsets.append(offsets[-1] + nl)

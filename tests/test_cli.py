@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -203,6 +204,66 @@ class TestCheck:
         _, second, _ = run_machine(capsys, "check", "--input", path)
         assert first["verified"] is True
         assert "verified" not in second
+
+
+NINES = int("9" * 4300)  # the longest int that str converts, at the default limit
+
+
+class TestUnprintableOutput:
+    """b-vectors and nu-sums can outgrow the input integers past what ``str``
+    converts; such a tower is refused before any output, and any other is
+    printed in full."""
+
+    COMMANDS = [["check"], ["check", "--verify"], ["fan"], ["relations"]]
+
+    def write(self, tmp_path, stages, coefficients):
+        doc = tmp_path / "tower.json"
+        doc.write_text(json.dumps({"stages": stages, "coefficients": coefficients}))
+        return str(doc)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    @pytest.mark.parametrize("stages, coefficients", [
+        # b_{1,2} = mu(b_{1,1}) * a_{3,2} = -10^8000, 8,001 digits from inputs of 4,001
+        ([1, 1, 1], [[[-10**4000]], [[0], [10**4000]]]),
+        # b_{1,1} = (x, -x) has 4,300 digits, nu(b_{1,1}) = 3x and b^(1) - mu = 2x have 4,301
+        ([1, 2], [[[5 * 10**4299, -5 * 10**4299]]]),
+    ])
+    def test_refused_before_any_output(self, capsys, tmp_path, monkeypatch, command, fmt,
+                                       stages, coefficients):
+        def fail(*args, **kwargs):
+            raise AssertionError("an unprintable tower reached the fan")
+
+        monkeypatch.setattr(fan, "build_fan", fail)
+        doc = self.write(tmp_path, stages, coefficients)
+        code, out, err = run(capsys, *command, "--input", doc, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: this tower's output would hold an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, too long to print\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    @pytest.mark.parametrize("a", [10**3998, -10**3998, NINES, -NINES])
+    def test_long_printable_output(self, capsys, tmp_path, command, fmt, a):
+        # 3,999 and 4,300 digits: b_{1,1} = a and nu(b_{1,1}) = |a| still convert
+        doc = self.write(tmp_path, [1, 1], [[[a]]])
+        code, out, err = run(capsys, *command, "--input", doc, "--format", fmt)
+        assert (code, err) == (0, "")
+        if command[0] == "check" and fmt == "machine":
+            report = json.loads(out)
+            assert report["b_vectors"] == {"1,1": [a]} and report["nu_sums"] == [abs(a)]
+        else:
+            assert str(abs(a)) in out
+
+    def test_check_refuses_what_fan_prints(self, capsys, tmp_path):
+        # stage 1's nu-sum NINES + 1 has 4,301 digits, but fan prints only its
+        # parts NINES and 1, and the degree 2 - (NINES + 1), of 4,300 digits
+        doc = self.write(tmp_path, [1, 1, 1], [[[NINES]], [[1], [0]]])
+        code, out, _ = run(capsys, "check", "--input", doc)
+        assert (code, out) == (2, "")
+        code, report, err = run_machine(capsys, "relations", "--input", doc)
+        assert (code, err) == (0, "")
+        assert [r["degree"] for r in report["relations"]] == [1 - NINES, 2, 2]
 
 
 def stage(p, n):

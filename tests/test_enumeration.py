@@ -235,7 +235,7 @@ class TestEngineMatchesReferenceLoops:
         ((3, 3, 2), -1, 1),
         ((1, 1), -2, 2),
         ((4,), -1, 1),
-        # the last cell (m, 1) is counted from its memo: a wide last stage,
+        # the last cell (m, 1) is counted by two bisections of its memo entry: a wide last stage,
         # ranges without 0, and m = 2, where the root is that cell
         ((2, 1, 3), -1, 1),
         ((1, 3), -2, 2),
@@ -374,9 +374,9 @@ class TestPrunedSearch:
         GeneralizedBottTower((1, 1), {(2, 1): (0,)})
         assert len(calls) == 1  # the counter sees a tower that is built
 
-    def test_last_cell_counted_from_its_memo(self, monkeypatch):
-        # 5^15 candidates; a frame per parent of cell (4, 1) made 9,457
-        # product calls over the last stage (n_4 = 4); a memo entry makes one
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        """The ``repeat`` of every ``product`` call the engine makes from now on."""
         calls = []
 
         def counting_product(*args, **kwargs):
@@ -384,6 +384,13 @@ class TestPrunedSearch:
             return product(*args, **kwargs)
 
         monkeypatch.setattr(enumeration, "product", counting_product)
+        return calls
+
+    def test_last_cell_counted_from_its_memo(self, monkeypatch):
+        # 5^15 candidates; every cell reads one memo keyed by (bound, offset),
+        # so the 625 vectors of the last stage (n_4 = 4) are scored once per
+        # distinct offset, not once per parent of cell (4, 1) (9,457 times)
+        calls = self.count_products(monkeypatch)
         tracemalloc.start()
         try:
             report = sweep(SweepSpec((1, 1, 1, 4), (-2, 2), mode="census", cap=5**15))
@@ -396,6 +403,16 @@ class TestPrunedSearch:
         }
         assert calls.count(4) < 1000
         assert peak < 4 * 2**20
+
+    def test_every_cell_decided_from_the_memo(self, monkeypatch):
+        # 3^12 candidates; scoring each vector of a cell once per parent made
+        # 3,717 product calls, where a memo entry per (bound, offset) makes 36
+        calls = self.count_products(monkeypatch)
+        report = sweep(SweepSpec((2, 2, 2, 2), (-1, 1), mode="census"))
+        assert report.counts == {
+            "fano": 6357, "weak_fano_not_fano": 34_236, "not_weak_fano": 490_848,
+        }
+        assert len(calls) <= 36
 
     def test_width_one_range_on_many_stages(self):
         # 4,950 vectors deep: the search keeps its own stack, not Python's
