@@ -120,19 +120,16 @@ def cmd_check(args) -> int:
     cls = towermod.classify(t)
     _require_printable(chain(cls.nu_sums, chain.from_iterable(cls.thresholds),
                              chain.from_iterable(cls.b_vectors.values())))
+    b_vectors = sorted(cls.b_vectors.items())
     report = {
         "command": "check",
-        "stages": list(t.stage_dims),
+        "stages": t.stage_dims,
         "verdict": cls.verdict.value,
-        "nu_sums": list(cls.nu_sums),
-        "thresholds": [list(pair) for pair in cls.thresholds],
-        "b_vectors": {f"{p},{q}": list(vec) for (p, q), vec in sorted(cls.b_vectors.items())},
+        "nu_sums": cls.nu_sums,
+        "thresholds": cls.thresholds,
+        "b_vectors": {f"{p},{q}": vec for (p, q), vec in b_vectors},
     }
-    lines = [f"verdict: {cls.verdict.value}"]
-    for p, (s, (lo, hi)) in enumerate(zip(cls.nu_sums, cls.thresholds), start=1):
-        lines.append(f"  p={p}: sum of nu(b[{p},q]) = {s}  (Fano <= {lo}, weak Fano <= {hi})")
-    for (p, q), vec in sorted(cls.b_vectors.items()):
-        lines.append(f"  b[{p},{q}] = {list(vec)}")
+    lines = _check_lines(cls, b_vectors)
     if args.verify:
         f = fanmod.build_fan(t)
         fanmod.validate_smooth_complete(f)
@@ -152,13 +149,22 @@ def cmd_check(args) -> int:
                                   "closed_form": want, "fan_criterion": got}
             mismatch = (f"degrees disagree on {{{', '.join(map(_label, sorted(pc)))}}}: "
                         f"closed form {want}, fan criterion {got}")
-            _emit(report, args, lines + [
+            _emit(report, args, chain(lines, [
                 f"VERIFY FAILED: fan criterion says {oracle.verdict.value}; {mismatch}"
-            ])
+            ]))
             raise ExpectationError(mismatch)
-        lines.append("verify: fan criterion agrees")
+        lines = chain(lines, ["verify: fan criterion agrees"])
     _emit(report, args, lines)
     return EXIT_OK
+
+
+def _check_lines(cls: towermod.Classification, b_vectors):
+    """Human output of ``check``, formatted only as it is printed."""
+    yield f"verdict: {cls.verdict.value}"
+    for p, (s, (lo, hi)) in enumerate(zip(cls.nu_sums, cls.thresholds), start=1):
+        yield f"  p={p}: sum of nu(b[{p},q]) = {s}  (Fano <= {lo}, weak Fano <= {hi})"
+    for (p, q), vec in b_vectors:
+        yield f"  b[{p},{q}] = {list(vec)}"
 
 
 def cmd_fan(args) -> int:
@@ -226,22 +232,15 @@ def cmd_enumerate(args) -> int:
     result = enumeration.sweep(spec)
     report = {
         "command": "enumerate",
-        "stages": list(stages),
-        "range": list(rng),
+        "stages": stages,
+        "range": rng,
         "mode": args.mode,
         "total": result.total,
         "counts": result.counts,
-        "slots": [list(s) for s in result.slots],
-        "hits": [list(h) for h in result.hits],
+        "slots": result.slots,
+        "hits": result.hits,
     }
-    lines = [
-        f"candidates: {result.total}",
-        "counts: " + ", ".join(f"{k}={v}" for k, v in sorted(result.counts.items())),
-    ]
-    if args.mode != "census":
-        lines.append(f"hits ({len(result.hits)}), slots (j,l,k) = {list(result.slots)}:")
-        lines.extend(f"  {list(h)}" for h in result.hits)
-    _emit(report, args, lines)
+    _emit(report, args, _enumerate_lines(result, args.mode))
     if args.expect_table1 and set(result.hits) != FANO_THREE_STAGE_TRIPLES:
         raise ExpectationError(
             f"Fano hit set has {len(result.hits)} triples, "
@@ -256,19 +255,32 @@ def cmd_chary_compare(args) -> int:
     report = {
         "command": "chary_compare",
         "r": args.r,
-        "range": list(rng),
+        "range": rng,
         "total": result.total,
-        "chary_not_fano": [list(v) for v in result.chary_not_fano],
-        "fano_not_chary": [list(v) for v in result.fano_not_chary],
+        "chary_not_fano": result.chary_not_fano,
+        "fano_not_chary": result.fano_not_chary,
     }
-    lines = [
-        f"candidates: {result.total}",
-        f"Chary holds but not Fano: {len(result.chary_not_fano)}",
-        f"Fano but Chary fails: {len(result.fano_not_chary)}",
-    ]
-    lines.extend(f"  beta = {list(v)}" for v in result.fano_not_chary)
-    _emit(report, args, lines)
+    _emit(report, args, _chary_lines(result))
     return EXIT_OK
+
+
+def _enumerate_lines(result: enumeration.SweepReport, mode: str):
+    """Human output of ``enumerate``, formatted only as it is printed."""
+    yield f"candidates: {result.total}"
+    yield "counts: " + ", ".join(f"{k}={v}" for k, v in sorted(result.counts.items()))
+    if mode != "census":
+        yield f"hits ({len(result.hits)}), slots (j,l,k) = {list(result.slots)}:"
+        for h in result.hits:
+            yield f"  {list(h)}"
+
+
+def _chary_lines(result: enumeration.CharyCompareReport):
+    """Human output of ``chary-compare``, formatted only as it is printed."""
+    yield f"candidates: {result.total}"
+    yield f"Chary holds but not Fano: {len(result.chary_not_fano)}"
+    yield f"Fano but Chary fails: {len(result.fano_not_chary)}"
+    for v in result.fano_not_chary:
+        yield f"  beta = {list(v)}"
 
 
 def build_parser() -> argparse.ArgumentParser:

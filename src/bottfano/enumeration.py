@@ -5,8 +5,11 @@ in ascending lexicographic order by ``coefficient_slots``.  One engine,
 shared by ``sweep`` and ``chary_compare``, decides them by a pruned
 depth-first search over whole coefficient vectors, column l = m-1 down
 to 1, with the closed-form nu-sum criterion, and decides every vector
-from one memo of nu values, local to the search; hits are tuples of slot
-values in lexicographic order.  ``chary_compare`` runs it with a tighter
+from one memo of nu values, local to the search, whose entries list only
+the vectors within the bound; the last two cells, a_{m-1,1} and a_{m,1},
+are decided together, one memo lookup per mu value of a_{m-1,1}'s
+b-vector and two bisections per vector.  Hits are tuples of slot values
+in lexicographic order.  ``chary_compare`` runs it with a tighter
 bound that finds only the Fano towers, and generates the matrices that
 Chary's condition accepts instead of testing candidates against it.
 """
@@ -15,8 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, product
-from operator import add, itemgetter
+from itertools import chain
 
 from .tower import Verdict
 
@@ -147,6 +149,44 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+def _rank(lo: int, hi: int, bound: int, offset: tuple[int, ...]) -> tuple[list, list, list, list]:
+    """The vectors v of the range lo:hi with nu(v + offset) at most
+    ``bound``, ascending by (nu, v): their nu and mu values, the vectors,
+    and the mu groups, one pair (mu, its indices in ascending order) per mu
+    value, in order of first index.
+
+    With b = v + offset and mu = min(0, b), nu(b) = sum(t) - mu for
+    t = b - mu >= 0.  So mu runs from 0 down to -bound, and for each mu the
+    t with sum(t) <= bound + mu (and an entry 0 when mu < 0) are listed by
+    raising at most that much in all over each entry's least value: an
+    entry costs what it keeps, not width^n.
+    """
+    scored = []
+    for mu in range(0, -bound - 1, -1):
+        low = [max(0, lo + o - mu) for o in offset]  # least t_k
+        room = bound + mu - sum(low)
+        if room < 0:  # bound + mu falls and low rises as mu falls
+            break
+        top = [hi + o - mu - t for o, t in zip(offset, low)]  # most t_k can rise
+        if min(top) < 0:
+            continue
+        zeros = low.count(0) if mu else len(low) + 1  # at mu = 0 no t_k need be 0
+        # (next entry to raise, room left, v, entries raised from t_k = 0)
+        stack = [(0, room, tuple(t + mu - o for o, t in zip(offset, low)), 0)]
+        while stack:
+            start, left, v, lifted = stack.pop()
+            if lifted < zeros:  # some t_k is still 0, so mu(v + offset) = mu
+                scored.append((bound - left, v, mu))  # nu = sum(t) - mu
+            for k in range(start, len(v)) if left else ():
+                for e in range(1, min(top[k], left) + 1):
+                    stack.append((k + 1, left - e, v[:k] + (v[k] + e,) + v[k + 1:], lifted + (low[k] == 0)))
+    scored.sort()
+    groups: dict[int, list[int]] = {}
+    for i, (_, _, mu) in enumerate(scored):
+        groups.setdefault(mu, []).append(i)
+    return [x[0] for x in scored], [x[2] for x in scored], [x[1] for x in scored], list(groups.items())
+
+
 def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list[tuple[int, ...]]]:
     """Census counts and sorted hits of the sweep ``s``.
 
@@ -157,15 +197,22 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     through offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}.  No tower is built.
 
     Every cell is decided from one memo, local to the call: per bound on
-    stage p's sum (n_p + 1) and offset seen, the nu and mu of v + offset,
-    ascending by nu, for the vectors v of the range with that nu within
-    the bound, and those v in the same order.  nu >= 0, so a path whose
-    partial sum would pass the bound only grows: one bisection splits off
-    the vectors that do, and every completion of them is counted as not
-    weak Fano without being visited.  The rest are visited in nu order.
-    The last cell, a_{m,1}, has no cell below it, so a second bisection
-    splits its remaining vectors into Fano (stage 1's sum at most n_1, on
-    a path Fano so far) and weak Fano, and the hits are a prefix of the v.
+    stage p's sum (n_p + 1) and offset seen, the ``_rank`` entry of the
+    vectors v of the range with nu(v + offset) within the bound, ascending
+    by nu.  nu >= 0, so a path whose partial sum would pass the bound only
+    grows: one bisection splits off the vectors that do, and every
+    completion of them is counted as not weak Fano without being visited.
+    The rest are visited in nu order, down to the cell above the last.
+
+    The last two cells, a_{m-1,1} and a_{m,1}, are decided together, with
+    no frame for either.  Nothing later reads the vector v of a_{m-1,1}
+    but nu(b_{1,m-2}), which adds to stage 1's sum, and mu(b_{1,m-2}),
+    which scales a_{m,m-1} into the offset of b_{1,m-1}.  So the last
+    cell's entry is looked up once per mu group of v, and for each v two
+    bisections split that entry into weak Fano (stage 1's sum at most
+    n_1 + 1) and Fano (at most n_1, on a path Fano so far); the hits are
+    a prefix of the entry's vectors.  With m = 2 the same count runs on
+    one path of sum 0 above the last cell.
 
     With ``fano_only`` the bound is n_p: a Fano tower needs every stage's
     sum at most n_p, so the subtrees cut besides are weak Fano at best, and
@@ -175,7 +222,6 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     dims = s.stage_dims
     m = len(dims)
     lo, hi = s.coeff_range
-    values = range(lo, hi + 1)
     width = hi - lo + 1
     fano, weak, not_weak = (v.value for v in Verdict)
     counts = dict.fromkeys((fano, weak, not_weak), 0)
@@ -194,61 +240,74 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     below.reverse()
     order = [(j, l) for j in range(2, m + 1) for l in range(1, j)]  # slot order
     at = order.index((m, 1))
+    above = at - (m - 2)  # a_{m-1,1}, then (m-1, 2..m-2); at m = 2 all spans are empty
     a: dict[tuple[int, int], tuple[int, ...]] = {}
     # per depth: indices left into the memo entry, the entry, partial sum,
     # Fano so far, and the pairs (r, mu(b_{p,r})) with mu != 0 above the
     # cell in its column
     frames: list = [None] * len(cells)
-    last = len(cells) - 1  # cell (m, 1)
-    # (bound, offset) -> (nus, mus, vecs): nu(v + offset), ascending, and
-    # mu(v + offset) of the vectors v of the range with that nu at most
-    # bound, and those v in the same order
-    memo: dict[tuple[int, tuple[int, ...]], tuple[list[int], list[int], list[tuple[int, ...]]]] = {}
-
-    def rank(bound: int, offset: tuple[int, ...]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
-        n = len(offset)
-        scored = []
-        for v in product(values, repeat=n):
-            b = list(map(add, v, offset))
-            mn = min(0, *b)
-            nu_b = sum(b) - (n + 1) * mn
-            if nu_b <= bound:
-                scored.append((nu_b, mn, v))
-        scored.sort(key=itemgetter(0))
-        return [x[0] for x in scored], [x[1] for x in scored], [x[2] for x in scored]
+    pair = len(cells) - 2  # cell (m-1, 1), decided with (m, 1)
+    n_1, bound_1 = dims[0], dims[0] + slack
+    # (bound, offset) -> the _rank entry
+    memo: dict[tuple[int, tuple[int, ...]], tuple[list, list, list, list]] = {}
 
     def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> bool:
         """Count the vectors of cell d past the bound, then push a frame
-        over the rest, or count them at once if d is the last cell; return
-        whether a frame was pushed."""
+        over the rest, or count them with their completions at once if d
+        is the cell above the last; return whether a frame was pushed."""
         j, p = cells[d]
         offset = [0] * dims[j - 1]
         for r, mr in nonzero:
             offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
         bound = dims[p - 1] + slack
         key = (bound, tuple(offset))
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = rank(*key)
-        nus, _, vecs = entry
-        w = bisect_right(nus, bound - partial)
+        entry = memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
+        w = bisect_right(entry[0], bound - partial)
         counts[not_weak] += (width ** len(offset) - w) * below[d]
-        if d < last:
+        if d < pair:
             frames[d] = (iter(range(w)), entry, partial, ok, nonzero)
             return True
-        f = bisect_right(nus, dims[0] - partial) if ok else 0
-        counts[fano] += f
-        counts[weak] += w - f
-        if record and (n_hits := f if s.mode == "fano" else w):
-            head = tuple(x for jl in order[:at] for x in a[jl])
-            tail = tuple(x for jl in order[at + 1:] for x in a[jl])
-            hits.extend(head + v + tail for v in vecs[:n_hits])
+        finish(entry, w, partial, ok, nonzero)
         return False
 
-    d = 0 if enter(0, 0, True, ()) else -1
+    def finish(entry, w: int, partial: int, ok: bool, nonzero: tuple) -> None:
+        """Count the completions by a_{m,1} of the first w vectors of the
+        entry of a_{m-1,1}, stage 1's partial sum before them ``partial``."""
+        nus, _, vecs, groups = entry
+        base = [0] * dims[m - 1]
+        for r, mr in nonzero:
+            base = [o + mr * c for o, c in zip(base, a[(m, 1 + r)])]
+        parts = None  # the hit's slots before, between and after the two cells
+        kept = fanos = 0
+        for mu, members in groups:
+            if members[0] >= w:  # groups come in order of first index
+                break
+            offset = [o + mu * c for o, c in zip(base, a[(m, m - 1)])] if mu else base
+            key = (bound_1, tuple(offset))
+            nus_last, _, vecs_last, _ = memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
+            for i in members:
+                if i >= w:
+                    break
+                t = partial + nus[i]  # + nu(b_{1,m-2})
+                w2 = bisect_right(nus_last, bound_1 - t)
+                f2 = bisect_right(nus_last, n_1 - t) if ok else 0
+                kept += w2
+                fanos += f2
+                if record and (n_hits := f2 if s.mode == "fano" else w2):
+                    parts = parts or [tuple(x for jl in span for x in a[jl])
+                                      for span in (order[:above], order[above + 1:at], order[at + 1:])]
+                    head = parts[0] + vecs[i] + parts[1]
+                    hits.extend(head + u + parts[2] for u in vecs_last[:n_hits])
+        counts[not_weak] += w * width ** dims[m - 1] - kept
+        counts[fano] += fanos
+        counts[weak] += kept - fanos
+
+    if pair < 0:  # m = 2: the last cell is the root, below one path of sum 0
+        finish(([0], [0], [()], [(0, [0])]), 1, 0, True, ())
+    d = 0 if pair >= 0 and enter(0, 0, True, ()) else -1
     while d >= 0:
         cell = j, p = cells[d]
-        left, (nus, mus, vecs), partial, ok, nonzero = frames[d]
+        left, (nus, mus, vecs, _), partial, ok, nonzero = frames[d]
         n_p = dims[p - 1]
         closes = j == m  # b_{p,m-p} completes stage p's sum
         for i in left:

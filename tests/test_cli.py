@@ -7,7 +7,7 @@ import pytest
 from bottfano import cli, fan
 from bottfano.cli import main, parse_document
 from bottfano.fan import FAN_WORK_LIMIT
-from bottfano.tower import Classification, TowerError, Verdict
+from bottfano.tower import B_WORK_LIMIT, Classification, TowerError, Verdict
 from bottfano.cli import UsageError
 
 from conftest import FIXTURES
@@ -176,6 +176,22 @@ class TestCheck:
                 assert err == (
                     f"error: fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2\n"
                 )
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_b_work_limit_refuses_before_any_output(self, capsys, tmp_path, monkeypatch, fmt):
+        # 210 line stages can update C(210, 3) = 1,521,520 b-vector entries
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused tower reached the fan")
+
+        monkeypatch.setattr("bottfano.fan.build_fan", fail)
+        doc = tmp_path / "tall.json"
+        doc.write_text(json.dumps({"stages": [1] * 210,
+                                   "coefficients": [[[-1]] * (j - 1) for j in range(2, 211)]}))
+        for command in (["check"], ["check", "--verify"]):
+            code, out, err = run(capsys, *command, "--input", str(doc), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == (f"error: b-vectors refused: 1521520 entry updates exceed limit "
+                           f"{B_WORK_LIMIT} on sum_j n_j*C(j-1,2)\n")
 
     def test_verify_checks_and_recurses_once(self, capsys, monkeypatch):
         from bottfano import tower
@@ -466,6 +482,22 @@ class TestHumanOutput:
         assert code == 0
         assert len(report["relations"]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--input", str(FIXTURES / "fano_4stage.json")],
+        ["check", "--verify", "--input", str(FIXTURES / "fano_4stage.json")],
+        ["enumerate", "--stages", "1,1,1", "--range=-1:1", "--mode", "weak_fano"],
+        ["chary-compare", "--r", "3", "--range=-1:1"],
+    ], ids=["check", "check-verify", "enumerate", "chary-compare"])
+    def test_machine_output_formats_no_human_lines(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a human line formatted for machine output")
+            yield
+
+        for name in ("_check_lines", "_enumerate_lines", "_chary_lines"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, report, _ = run_machine(capsys, *argv)
+        assert code == 0 and report["command"] == argv[0].replace("-", "_")
+
 
 class TestEnumerate:
     def test_expect_table1(self, capsys):
@@ -546,7 +578,7 @@ class TestCharyCompare:
         def fail(*args, **kwargs):
             raise AssertionError("a refused sweep reached the engine")
 
-        monkeypatch.setattr("bottfano.enumeration.product", fail)
+        monkeypatch.setattr("bottfano.enumeration._rank", fail)
         monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
         code, out, err = run(capsys, "chary-compare", "--r", "100000", "--range=0:0")
         assert code == 2
@@ -559,7 +591,7 @@ class TestCharyCompare:
             raise AssertionError("a refused sweep reached the engine")
 
         monkeypatch.setattr("bottfano.enumeration.SweepSpec", fail)
-        monkeypatch.setattr("bottfano.enumeration.product", fail)
+        monkeypatch.setattr("bottfano.enumeration._rank", fail)
         monkeypatch.setattr("bottfano.enumeration.coefficient_slots", fail)
         code, out, err = run(capsys, "chary-compare", "--r", "1414", "--range=0:0")
         assert code == 2

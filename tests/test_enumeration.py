@@ -1,7 +1,10 @@
+import sys
 import tracemalloc
 from itertools import product
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottfano import enumeration, tower
 from bottfano.enumeration import (
@@ -218,6 +221,21 @@ def reference_chary_matrices(r, lo, hi):
     return found
 
 
+def reference_rank(lo, hi, bound, offset):
+    """The memo entry by product and filter: every vector v of the range
+    scored, those with nu(v + offset) <= bound kept, stably sorted by nu."""
+    n = len(offset)
+    scored = []
+    for v in product(range(lo, hi + 1), repeat=n):
+        b = [x + o for x, o in zip(v, offset)]
+        mn = min(0, *b)
+        nu_b = sum(b) - (n + 1) * mn
+        if nu_b <= bound:
+            scored.append((nu_b, mn, v))
+    scored.sort(key=itemgetter(0))
+    return [x[0] for x in scored], [x[1] for x in scored], [x[2] for x in scored]
+
+
 #: inputs whose fano_not_chary is not empty, so the comparison pins sign and order
 PINNING_CHARY_INPUTS = [(3, -2, 1), (3, -2, 2), (4, -1, 1), (3, 1, 2), (4, 0, 1)]
 
@@ -242,6 +260,15 @@ class TestEngineMatchesReferenceLoops:
         ((1, 1, 2), 1, 3),
         ((1, 1, 2), -3, -1),
         ((2, 2), -2, 2),
+        # a_{m-1,1} is decided with a_{m,1}, one memo lookup per mu group of its vectors: a wide
+        # stage m-1, m = 3 over ranges without 0, and a bound that cuts whole mu groups (at
+        # a_{3,1}, after b_{1,1} of nu 1, the group of mu = -2 lies past the bound)
+        ((1, 3, 1), -1, 1),
+        ((2, 2, 1), -1, 1),
+        ((1, 1, 3, 2), -1, 0),
+        ((1, 2, 1), 1, 2),
+        ((1, 2, 1), -2, -1),
+        ((1, 1, 1, 1), -2, 1),
     ])
     def test_pruned_search_in_every_mode(self, stage_dims, lo, hi):
         for mode in SWEEP_MODES:
@@ -297,11 +324,33 @@ class TestEngineMatchesReferenceLoops:
     def test_chary_matrices_match_the_condition(self, r, lo, hi):
         assert enumeration._chary_matrices(r, lo, hi) == reference_chary_matrices(r, lo, hi)
 
+    @settings(max_examples=400, deadline=None)
+    @given(lo=st.integers(-4, 3), width=st.integers(1, 4), bound=st.integers(0, 6),
+           offset=st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    def test_rank_matches_product_and_filter(self, lo, width, bound, offset):
+        # ranges with and without 0, of widths 1 to 4, and offsets that push b past either end
+        hi = lo + width - 1
+        nus, mus, vecs, groups = enumeration._rank(lo, hi, bound, tuple(offset))
+        assert (nus, mus, vecs) == reference_rank(lo, hi, bound, tuple(offset))
+        # one group per mu, its indices ascending, the groups in order of first index
+        assert sorted(i for _, members in groups for i in members) == list(range(len(vecs)))
+        assert len({mu for mu, _ in groups}) == len(groups)
+        for mu, members in groups:
+            assert members == sorted(members) and {mus[i] for i in members} == {mu}
+        firsts = [members[0] for _, members in groups]
+        assert firsts == sorted(firsts)
+
+    def test_rank_keeps_one_vector_of_many_entries(self):
+        # a range of width 1: one vector, listed without scoring width^n of them
+        nus, mus, vecs, groups = enumeration._rank(0, 0, 2, (0,) * 10**5)
+        assert (nus, mus, vecs, groups) == ([0], [0], [(0,) * 10**5], [(0, [0])])
+        assert enumeration._rank(0, 0, 2, (-3,) * 10**5)[2] == []
+
     def test_cap_refused_before_any_candidate(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("candidates generated past the cap")
 
-        monkeypatch.setattr(enumeration, "product", fail)
+        monkeypatch.setattr(enumeration, "_rank", fail)
         with pytest.raises(SweepError, match="81 candidates exceed cap 80"):
             sweep(SweepSpec((1, 2, 1), (-1, 1), cap=80))
         with pytest.raises(SweepError, match="729 candidates exceed cap 728"):
@@ -375,22 +424,24 @@ class TestPrunedSearch:
         assert len(calls) == 1  # the counter sees a tower that is built
 
     @staticmethod
-    def count_products(monkeypatch) -> list:
-        """The ``repeat`` of every ``product`` call the engine makes from now on."""
+    def count_ranks(monkeypatch) -> list:
+        """The vector length of every memo entry the engine ranks from now on."""
         calls = []
 
-        def counting_product(*args, **kwargs):
-            calls.append(kwargs.get("repeat"))
-            return product(*args, **kwargs)
+        def counting_rank(lo, hi, bound, offset):
+            calls.append(len(offset))
+            return rank(lo, hi, bound, offset)
 
-        monkeypatch.setattr(enumeration, "product", counting_product)
+        rank = enumeration._rank
+        monkeypatch.setattr(enumeration, "_rank", counting_rank)
         return calls
 
     def test_last_cell_counted_from_its_memo(self, monkeypatch):
         # 5^15 candidates; every cell reads one memo keyed by (bound, offset),
-        # so the 625 vectors of the last stage (n_4 = 4) are scored once per
-        # distinct offset, not once per parent of cell (4, 1) (9,457 times)
-        calls = self.count_products(monkeypatch)
+        # so the last stage's vectors (n_4 = 4) are ranked once per distinct
+        # offset, not once per parent of cell (4, 1) (9,457 times); the
+        # census makes 233 memo entries in all
+        calls = self.count_ranks(monkeypatch)
         tracemalloc.start()
         try:
             report = sweep(SweepSpec((1, 1, 1, 4), (-2, 2), mode="census", cap=5**15))
@@ -406,13 +457,44 @@ class TestPrunedSearch:
 
     def test_every_cell_decided_from_the_memo(self, monkeypatch):
         # 3^12 candidates; scoring each vector of a cell once per parent made
-        # 3,717 product calls, where a memo entry per (bound, offset) makes 36
-        calls = self.count_products(monkeypatch)
+        # 3,717 scans of the range, where a memo entry per (bound, offset) makes 36
+        calls = self.count_ranks(monkeypatch)
         report = sweep(SweepSpec((2, 2, 2, 2), (-1, 1), mode="census"))
         assert report.counts == {
             "fano": 6357, "weak_fano_not_fano": 34_236, "not_weak_fano": 490_848,
         }
         assert len(calls) <= 36
+
+    @staticmethod
+    def count_enters(spec: SweepSpec) -> tuple[int, tuple]:
+        """The calls of ``_search``'s inner ``enter``, seen by a profile
+        hook, and the result of the search."""
+        enter = next(c for c in enumeration._search.__code__.co_consts
+                     if getattr(c, "co_name", None) == "enter")
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is enter:
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = enumeration._search(spec)
+        finally:
+            sys.setprofile(previous)
+        return calls, result
+
+    def test_cell_above_the_last_decided_with_it(self):
+        # one enter call per parent of a_{m-1,1} and a_{m,1}: a frame per kept
+        # vector of a_{m-1,1} made 8,065 calls on the census and 1,131 on the fano sweep
+        calls, (counts, hits) = self.count_enters(SweepSpec((1, 3, 3, 1), (-1, 1), mode="census"))
+        assert counts == {"fano": 1254, "weak_fano_not_fano": 7511, "not_weak_fano": 522_676}
+        assert hits == [] and calls <= 2092
+        calls, (counts, hits) = self.count_enters(SweepSpec((2, 1, 2, 1), (-1, 1), mode="fano"))
+        assert counts == {"fano": 455, "weak_fano_not_fano": 1527, "not_weak_fano": 4579}
+        assert hits == reference_sweep((2, 1, 2, 1), -1, 1, "fano")[2] and calls <= 197
 
     def test_width_one_range_on_many_stages(self):
         # 4,950 vectors deep: the search keeps its own stack, not Python's

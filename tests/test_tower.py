@@ -1,5 +1,6 @@
 import re
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -16,6 +17,8 @@ from bottfano import (
     from_bott_matrix,
     validate,
 )
+
+from bottfano.tower import B_WORK_LIMIT
 
 from conftest import fano_4stage, hirzebruch, make_tower, not_weak_fano_3stage, random_tower
 
@@ -129,6 +132,24 @@ class TestComputeB:
                         vec = [v + mr * c for v, c in zip(vec, t.a(p + q, p + r))]
                     b[(p, q)] = tuple(vec)
             assert compute_b(t) == b
+
+    def test_work_limit(self):
+        # (1,)^m can update sum_j C(j-1, 2) = C(m, 3) entries: 1,499,784 at m = 209,
+        # 1,521,520 at m = 210; a stage of n lines counts n times, so (1,)^150 with a
+        # last stage of 84 lines updates 551,300 + 84 * 11,175 = 1,490,000, and of 85 lines
+        # 1,501,175
+        assert comb(209, 3) <= B_WORK_LIMIT < comb(210, 3)
+        for dims, work in [((1,) * 209, None), ((1,) * 210, 1_521_520),
+                           ((1,) * 150 + (84,), None), ((1,) * 150 + (85,), 1_501_175)]:
+            t = make_tower(dims, {(j, l): (0,) * dims[j - 1]
+                                  for j in range(2, len(dims) + 1) for l in range(1, j)})
+            if work is None:
+                assert len(compute_b(t)) == len(dims) * (len(dims) - 1) // 2
+                continue
+            message = (f"b-vectors refused: {work} entry updates exceed limit {B_WORK_LIMIT} "
+                       f"on sum_j n_j*C(j-1,2)")
+            with pytest.raises(TowerError, match=f"^{re.escape(message)}$"):
+                compute_b(t)
 
 
 @pytest.mark.parametrize("degrees, verdict", [
