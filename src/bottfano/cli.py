@@ -76,7 +76,7 @@ def parse_document(text: str) -> GeneralizedBottTower:
 
 def _read_input(args) -> str:
     try:
-        if args.input and args.input != "-":
+        if args.input != "-":  # only "-" means stdin: an empty path is a path
             with open(args.input) as fh:
                 return fh.read()
         return sys.stdin.read()

@@ -8,10 +8,12 @@ to 1, with the closed-form nu-sum criterion, and decides every vector
 from one memo of nu values, local to the search, whose entries list only
 the vectors within the bound; the last two cells, a_{m-1,1} and a_{m,1},
 are decided together, one memo lookup per mu value of a_{m-1,1}'s
-b-vector and two bisections per vector.  Hits are tuples of slot values
-in lexicographic order.  ``chary_compare`` runs it with a tighter
-bound that finds only the Fano towers, and generates the matrices that
-Chary's condition accepts instead of testing candidates against it.
+b-vector and two bisections per vector.  It counts only the Fano and the
+weak Fano candidates it keeps; not weak Fano is the rest of the
+width^slots candidates.  Hits are tuples of slot values in lexicographic
+order.  ``chary_compare`` runs it with a tighter bound that finds only
+the Fano towers, and generates the matrices that Chary's condition
+accepts instead of testing candidates against it.
 """
 
 from __future__ import annotations
@@ -149,11 +151,10 @@ def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _rank(lo: int, hi: int, bound: int, offset: tuple[int, ...]) -> tuple[list, list, list, list]:
+def _rank(lo: int, hi: int, bound: int, offset: tuple[int, ...]) -> tuple[list, list, list]:
     """The vectors v of the range lo:hi with nu(v + offset) at most
-    ``bound``, ascending by (nu, v): their nu and mu values, the vectors,
-    and the mu groups, one pair (mu, its indices in ascending order) per mu
-    value, in order of first index.
+    ``bound``, ascending by (nu, v): their nu and mu values, and the
+    vectors.
 
     With b = v + offset and mu = min(0, b), nu(b) = sum(t) - mu for
     t = b - mu >= 0.  So mu runs from 0 down to -bound, and for each mu the
@@ -181,10 +182,7 @@ def _rank(lo: int, hi: int, bound: int, offset: tuple[int, ...]) -> tuple[list, 
                 for e in range(1, min(top[k], left) + 1):
                     stack.append((k + 1, left - e, v[:k] + (v[k] + e,) + v[k + 1:], lifted + (low[k] == 0)))
     scored.sort()
-    groups: dict[int, list[int]] = {}
-    for i, (_, _, mu) in enumerate(scored):
-        groups.setdefault(mu, []).append(i)
-    return [x[0] for x in scored], [x[2] for x in scored], [x[1] for x in scored], list(groups.items())
+    return [x[0] for x in scored], [x[2] for x in scored], [x[1] for x in scored]
 
 
 def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list[tuple[int, ...]]]:
@@ -200,29 +198,29 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     stage p's sum (n_p + 1) and offset seen, the ``_rank`` entry of the
     vectors v of the range with nu(v + offset) within the bound, ascending
     by nu.  nu >= 0, so a path whose partial sum would pass the bound only
-    grows: one bisection splits off the vectors that do, and every
-    completion of them is counted as not weak Fano without being visited.
-    The rest are visited in nu order, down to the cell above the last.
+    grows: one bisection keeps the vectors that do not, and only those are
+    visited, in nu order, down to the cell above the last.
 
     The last two cells, a_{m-1,1} and a_{m,1}, are decided together, with
     no frame for either.  Nothing later reads the vector v of a_{m-1,1}
     but nu(b_{1,m-2}), which adds to stage 1's sum, and mu(b_{1,m-2}),
     which scales a_{m,m-1} into the offset of b_{1,m-1}.  So the last
-    cell's entry is looked up once per mu group of v, and for each v two
-    bisections split that entry into weak Fano (stage 1's sum at most
-    n_1 + 1) and Fano (at most n_1, on a path Fano so far); the hits are
-    a prefix of the entry's vectors.  With m = 2 the same count runs on
-    one path of sum 0 above the last cell.
+    cell's entry is looked up once per mu value of the kept v, and for
+    each v two bisections split that entry into weak Fano (stage 1's sum
+    at most n_1 + 1) and Fano (at most n_1, on a path Fano so far); the
+    hits are a prefix of the entry's vectors.  With m = 2 the same count
+    runs on one path of sum 0 above the last cell.
 
-    With ``fano_only`` the bound is n_p: a Fano tower needs every stage's
-    sum at most n_p, so the subtrees cut besides are weak Fano at best, and
-    the hits of a ``fano`` run are unchanged, but the counts lump those
-    subtrees in with not weak Fano.
+    Only Fano and weak Fano are counted; every other candidate is not weak
+    Fano, so that count is width^slots less the two.  With ``fano_only``
+    the bound is n_p: a Fano tower needs every stage's sum at most n_p, so
+    the subtrees cut besides are weak Fano at best, and the hits of a
+    ``fano`` run are unchanged, but the counts lump those subtrees in with
+    not weak Fano.
     """
     dims = s.stage_dims
     m = len(dims)
     lo, hi = s.coeff_range
-    width = hi - lo + 1
     fano, weak, not_weak = (v.value for v in Verdict)
     counts = dict.fromkeys((fano, weak, not_weak), 0)
     hits: list[tuple[int, ...]] = []
@@ -232,99 +230,93 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     if not cells:  # one stage: one candidate, and no stage p < m to test
         counts[fano] = 1
         return counts, [()] if record else []
-    # below[d]: the candidates that share an assignment of cells[:d + 1]
-    below, rest = [], 0
-    for j, _ in reversed(cells):
-        below.append(width ** rest)
-        rest += dims[j - 1]
-    below.reverse()
     order = [(j, l) for j in range(2, m + 1) for l in range(1, j)]  # slot order
     at = order.index((m, 1))
     above = at - (m - 2)  # a_{m-1,1}, then (m-1, 2..m-2); at m = 2 all spans are empty
     a: dict[tuple[int, int], tuple[int, ...]] = {}
-    # per depth: indices left into the memo entry, the entry, partial sum,
-    # Fano so far, and the pairs (r, mu(b_{p,r})) with mu != 0 above the
-    # cell in its column
-    frames: list = [None] * len(cells)
+    # per cell entered above the pair: indices left into the memo entry, the
+    # entry, partial sum, Fano so far, and the pairs (r, mu(b_{p,r})) with
+    # mu != 0 above the cell in its column
+    frames: list = []
     pair = len(cells) - 2  # cell (m-1, 1), decided with (m, 1)
     n_1, bound_1 = dims[0], dims[0] + slack
     # (bound, offset) -> the _rank entry
-    memo: dict[tuple[int, tuple[int, ...]], tuple[list, list, list, list]] = {}
+    memo: dict[tuple[int, tuple[int, ...]], tuple[list, list, list]] = {}
 
-    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> bool:
-        """Count the vectors of cell d past the bound, then push a frame
-        over the rest, or count them with their completions at once if d
-        is the cell above the last; return whether a frame was pushed."""
-        j, p = cells[d]
+    def lookup(bound: int, j: int, p: int, nonzero: tuple) -> tuple[list, list, list]:
+        """The memo entry of cell (j, p) under ``bound``, its offset
+        sum_r mu_r a_{j,p+r} over the pairs (r, mu_r) of ``nonzero``."""
         offset = [0] * dims[j - 1]
         for r, mr in nonzero:
             offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
-        bound = dims[p - 1] + slack
         key = (bound, tuple(offset))
-        entry = memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
+        return memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
+
+    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> None:
+        """Push a frame over the vectors of cell d within the bound, or,
+        if d is the cell above the last, count them with their completions
+        at once."""
+        j, p = cells[d]
+        bound = dims[p - 1] + slack
+        entry = lookup(bound, j, p, nonzero)
         w = bisect_right(entry[0], bound - partial)
-        counts[not_weak] += (width ** len(offset) - w) * below[d]
         if d < pair:
-            frames[d] = (iter(range(w)), entry, partial, ok, nonzero)
-            return True
-        finish(entry, w, partial, ok, nonzero)
-        return False
+            frames.append((iter(range(w)), entry, partial, ok, nonzero))
+        else:
+            finish(entry, w, partial, ok, nonzero)
 
     def finish(entry, w: int, partial: int, ok: bool, nonzero: tuple) -> None:
-        """Count the completions by a_{m,1} of the first w vectors of the
-        entry of a_{m-1,1}, stage 1's partial sum before them ``partial``."""
-        nus, _, vecs, groups = entry
-        base = [0] * dims[m - 1]
-        for r, mr in nonzero:
-            base = [o + mr * c for o, c in zip(base, a[(m, 1 + r)])]
+        """Count the Fano and weak Fano completions by a_{m,1} of the first
+        w vectors of the entry of a_{m-1,1}, stage 1's partial sum before
+        them ``partial``."""
+        nus, mus, vecs = entry
+        last = {}  # mu(b_{1,m-2}) -> the entry of a_{m,1}
         parts = None  # the hit's slots before, between and after the two cells
         kept = fanos = 0
-        for mu, members in groups:
-            if members[0] >= w:  # groups come in order of first index
-                break
-            offset = [o + mu * c for o, c in zip(base, a[(m, m - 1)])] if mu else base
-            key = (bound_1, tuple(offset))
-            nus_last, _, vecs_last, _ = memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
-            for i in members:
-                if i >= w:
-                    break
-                t = partial + nus[i]  # + nu(b_{1,m-2})
-                w2 = bisect_right(nus_last, bound_1 - t)
-                f2 = bisect_right(nus_last, n_1 - t) if ok else 0
-                kept += w2
-                fanos += f2
-                if record and (n_hits := f2 if s.mode == "fano" else w2):
-                    parts = parts or [tuple(x for jl in span for x in a[jl])
-                                      for span in (order[:above], order[above + 1:at], order[at + 1:])]
-                    head = parts[0] + vecs[i] + parts[1]
-                    hits.extend(head + u + parts[2] for u in vecs_last[:n_hits])
-        counts[not_weak] += w * width ** dims[m - 1] - kept
+        for i in range(w):
+            mu = mus[i]
+            if mu not in last:
+                last[mu] = lookup(bound_1, m, 1, nonzero + ((m - 2, mu),) if mu else nonzero)
+            nus_last, _, vecs_last = last[mu]
+            t = partial + nus[i]  # + nu(b_{1,m-2})
+            w2 = bisect_right(nus_last, bound_1 - t)
+            f2 = bisect_right(nus_last, n_1 - t) if ok else 0
+            kept += w2
+            fanos += f2
+            if record and (n_hits := f2 if s.mode == "fano" else w2):
+                parts = parts or [tuple(x for jl in span for x in a[jl])
+                                  for span in (order[:above], order[above + 1:at], order[at + 1:])]
+                head = parts[0] + vecs[i] + parts[1]
+                hits.extend(head + u + parts[2] for u in vecs_last[:n_hits])
         counts[fano] += fanos
         counts[weak] += kept - fanos
 
     if pair < 0:  # m = 2: the last cell is the root, below one path of sum 0
-        finish(([0], [0], [()], [(0, [0])]), 1, 0, True, ())
-    d = 0 if pair >= 0 and enter(0, 0, True, ()) else -1
-    while d >= 0:
+        finish(([0], [0], [()]), 1, 0, True, ())
+    else:
+        enter(0, 0, True, ())
+    while frames:
+        d = len(frames) - 1
         cell = j, p = cells[d]
-        left, (nus, mus, vecs, _), partial, ok, nonzero = frames[d]
+        left, (nus, mus, vecs), partial, ok, nonzero = frames[d]
         n_p = dims[p - 1]
         closes = j == m  # b_{p,m-p} completes stage p's sum
+        deeper = d + 1 < pair  # enter pushes a frame for cell d + 1
         for i in left:
             a[cell] = vecs[i]
             total = partial + nus[i]  # + nu(b_{p,q})
             now_ok = ok and (total <= n_p or not closes)
             if closes:
-                pushed = enter(d + 1, 0, now_ok, ())
+                enter(d + 1, 0, now_ok, ())
             else:
-                pushed = enter(d + 1, total, now_ok,
-                               nonzero + ((j - p, mus[i]),) if mus[i] else nonzero)
-            if pushed:
-                d += 1
+                enter(d + 1, total, now_ok, nonzero + ((j - p, mus[i]),) if mus[i] else nonzero)
+            if deeper:
                 break
         else:
-            d -= 1
+            frames.pop()
     hits.sort()
+    # not weak Fano is the rest of the width^slots candidates; each cell holds n_j slots
+    counts[not_weak] = (hi - lo + 1) ** sum(dims[j - 1] for j, _ in cells) - counts[fano] - counts[weak]
     return counts, hits
 
 

@@ -42,10 +42,9 @@ class Fan:
 
     ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` holds cone
     c's ray indices as an ascending tuple, whatever iterable of ints was
-    given, one cone per lexicographic choice (k_1, ..., k_m) of the omitted
-    ray in each stage.  Two bitmask indexes are built from ``max_cones``
-    alone: bit c of ``ray_cones[i]`` and bit i of ``cone_masks[c]`` are set
-    iff ``max_cones[c]`` contains ray i.
+    given, in the order given.  Two bitmask indexes are built from
+    ``max_cones`` alone: bit c of ``ray_cones[i]`` and bit i of
+    ``cone_masks[c]`` are set iff ``max_cones[c]`` contains ray i.
     """
 
     dim: int

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from dataclasses import replace
@@ -127,6 +128,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", str(bad))
         assert code == 1
         assert err.startswith("error: cannot read")
+
+    def test_empty_input_path_does_not_read_stdin(self, capsys, monkeypatch):
+        # only "-" means stdin, so --input "$DOC" with DOC unset cannot block on a terminal
+        monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "fano_4stage.json").read_text()))
+        code, out, err = run(capsys, "check", "--input", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     @pytest.mark.parametrize("document, path", [
         ({"stages": [0, 1], "coefficients": [[[0]]]}, "stages[j=1]"),
