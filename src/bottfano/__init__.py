@@ -10,7 +10,6 @@ from .tower import (
     bott_fano,
     chary_condition,
     classify,
-    classify_picard_two,
     compute_b,
     from_bott_matrix,
     validate,

@@ -18,6 +18,7 @@ accepts instead of testing candidates against it.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -26,8 +27,8 @@ from .tower import Verdict
 
 DEFAULT_CAP = 10**6
 
-#: Candidate counts longer than this (about 3,000 digits) are shown as
-#: width^slots, since ``str`` refuses ints past 4,300 digits.
+#: Counts longer than this (about 3,000 digits) are shown in a short form in
+#: refusals, since ``str`` refuses ints past 4,300 digits; see ``shown``.
 PRINTABLE_BITS = 10_000
 
 #: Most coefficient slots a sweep takes, whatever its cap: a range of width 1
@@ -67,6 +68,18 @@ class SweepError(ValueError):
     """Invalid sweep parameters or candidate cap exceeded."""
 
 
+def shown(value: int, short: str | None = None) -> str:
+    """A refusal's text for the int ``value`` >= 0: its decimal digits where
+    ``str`` prints them, as it does up to 4,300 digits unless
+    PYTHONINTMAXSTRDIGITS lowers that limit, to as few as 640; past a limit
+    of L digits, ``short``, a true short form of it, or the lower bound
+    "over 10^(L - 1)"."""
+    try:
+        return str(value)
+    except ValueError:
+        return short or f"over 10^{sys.get_int_max_str_digits() - 1}"
+
+
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     """Check the range ends and the cap, a positive int, then refuse a
     sweep of ``nslots`` slots over ``coeff_range`` whose slot count exceeds
@@ -86,17 +99,20 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     if cap < 1:  # every sweep has a candidate, so no smaller cap admits one
         raise SweepError(f"cap must be a positive integer, got {cap}")
     if nslots > SLOT_WORK_LIMIT:
-        raise SweepError(f"{nslots} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
+        raise SweepError(f"{shown(nslots)} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     width = hi - lo + 1
+    # the count is width^nslots, or at least the bound shown for a width too long to show
+    base = shown(width)
+    power = f"{base}^{nslots}" if base.isdigit() else base
     # the count width ** nslots is at least 2 ** min_bits, so past both the
     # cap and the printable length it is refused without being computed
     min_bits = nslots * (width.bit_length() - 1)
     if min_bits >= max(cap.bit_length(), PRINTABLE_BITS):
-        raise SweepError(f"{width}^{nslots} candidates exceed cap {cap}; raise --cap to proceed")
+        raise SweepError(f"{power} candidates exceed cap {shown(cap)}; raise --cap to proceed")
     total = width ** nslots
     if total > cap:
-        shown = total if total.bit_length() <= PRINTABLE_BITS else f"{width}^{nslots}"
-        raise SweepError(f"{shown} candidates exceed cap {cap}; raise --cap to proceed")
+        count = power if total >> PRINTABLE_BITS else shown(total, power)
+        raise SweepError(f"{count} candidates exceed cap {shown(cap)}; raise --cap to proceed")
     # a range of width 1 has one candidate however many slots it has
     if nslots > cap:
         raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")

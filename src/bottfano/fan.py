@@ -18,7 +18,7 @@ from itertools import chain, combinations, product
 from math import gcd, prod
 from operator import mul
 
-from .enumeration import PRINTABLE_BITS
+from .enumeration import PRINTABLE_BITS, shown
 from .lattice import IntVec, _next_rows, first_non_unimodular, mu
 from .tower import Classification, GeneralizedBottTower, Verdict
 
@@ -117,16 +117,20 @@ class Fan:
 
 @dataclass
 class PrimitiveCollectionData:
-    """A primitive collection with its relation coefficients and degree.
+    """A primitive collection and its relation.
 
     ``relation_rhs`` maps ray labels to the positive integer coefficients
-    on the right-hand side of the primitive relation; the degree is
-    |members| minus their sum.
+    on the right-hand side of the primitive relation.  The degree is read
+    off the relation, as |members| minus their sum, so it cannot disagree
+    with it.
     """
 
     members: frozenset[RayLabel]
     relation_rhs: dict[RayLabel, int]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.members) - sum(self.relation_rhs.values())
 
 
 @dataclass
@@ -143,7 +147,8 @@ def check_fan_size(t: GeneralizedBottTower) -> None:
     n = t.dim
     cones = prod(nl + 1 for nl in t.stage_dims)
     if cones * n * n > FAN_WORK_LIMIT:
-        size = "over 10^3000 cones" if cones >> PRINTABLE_BITS else f"{cones} cones of dimension {n}"
+        size = "over 10^3000" if cones >> PRINTABLE_BITS else shown(cones)
+        size = f"{size} cones of dimension {n}" if size.isdigit() else f"{size} cones"
         raise FanError(f"fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2")
 
 
@@ -371,7 +376,7 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
         s = [a + b for a, b in zip(s, f.ray(lab))]
     target = tuple(s)
     if all(e == 0 for e in target):
-        return PrimitiveCollectionData(members=members, relation_rhs={}, degree=len(members))
+        return PrimitiveCollectionData(members, {})
     unvisited = (1 << len(f.max_cones)) - 1
     c = 0
     while unvisited:
@@ -381,9 +386,7 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
         low = min(coords)
         if low >= 0:
             rhs = {f.labels[i]: x for i, x in zip(idx, coords) if x > 0}
-            return PrimitiveCollectionData(
-                members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
-            )
+            return PrimitiveCollectionData(members, rhs)
         d = coords.index(low)
         step = f.cones_containing(idx[:d] + idx[d + 1:]) & unvisited or unvisited
         c = (step & -step).bit_length() - 1
@@ -408,28 +411,23 @@ def expected_primitive_relation(
     """Closed-form relation for the stage-p collection, from the b-vectors
     of ``compute_b``.
 
-    For p < m the right-hand side puts -mu(b_{p,q}) on u_{p+q}^0 and
-    b_{p,q}^{(k)} - mu(b_{p,q}) on u_{p+q}^k, so the degree is
-    (n_p + 1) - sum_q nu(b_{p,q}); for p = m the sum of the members is
-    zero and the degree is n_m + 1.
+    With z = (0, b_{p,q}^{(1)}, ..., b_{p,q}^{(n)}) for each q, the
+    right-hand side puts z_k - mu(b_{p,q}) on u_{p+q}^k wherever that is
+    positive, k = 0 included, so the degree is (n_p + 1) - sum_q
+    nu(b_{p,q}); for p = m there is no q, the sum of the members is zero
+    and the degree is n_m + 1.
     """
     m = t.num_stages
     if not 1 <= p <= m:
         raise FanError(f"stage index {p} out of range 1..{m}")
-    members = collection_for_stage(t, p)
     rhs: dict[RayLabel, int] = {}
     for q in range(1, m - p + 1):
         bpq = b[(p, q)]
         mn = mu(bpq)
-        if -mn > 0:
-            rhs[(p + q, 0)] = -mn
-        for k in range(1, t.stage_dims[p + q - 1] + 1):
-            c = bpq[k - 1] - mn
-            if c > 0:
-                rhs[(p + q, k)] = c
-    return PrimitiveCollectionData(
-        members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
-    )
+        for k, zk in enumerate((0, *bpq)):
+            if zk > mn:
+                rhs[(p + q, k)] = zk - mn
+    return PrimitiveCollectionData(collection_for_stage(t, p), rhs)
 
 
 def signed_relation(pr: PrimitiveCollectionData) -> dict[RayLabel, int]:
@@ -447,10 +445,10 @@ def wall_relation(
     """Wall relation for the distinguished (n-1)-cone tau_p.
 
     tau_p consists of u_l^k (l < p, k >= 1), u_p^1 ... u_p^{n_p - 1} and,
-    for each q, every u_{p+q}^k with k != i_{p,q}.  The index i_{p,q} in
-    {0, 1, ..., n_{p+q}} picks an entry of (0, b^{(1)}, ..., b^{(n)})
-    attaining mu(b_{p,q}): 0 when mu(b_{p,q}) = 0, otherwise the smallest
-    k >= 1 with b_{p,q}^{(k)} = mu(b_{p,q}).
+    for each q, every u_{p+q}^k with k != i_{p,q}.  With z = (0,
+    b_{p,q}^{(1)}, ..., b_{p,q}^{(n)}), as in ``expected_primitive_relation``,
+    i_{p,q} is the first k with z_k = min(z) = mu(b_{p,q}).  A fan that
+    lacks one of these labels is refused, naming the first in that order.
 
     The ray of the second adjacent maximal cone that is not in the first
     is solved in the first cone's basis by ``_cone_coordinates``, as in
@@ -463,17 +461,15 @@ def wall_relation(
     m = t.num_stages
     if not 1 <= p <= m:
         raise FanError(f"stage index {p} out of range 1..{m}")
-    wall: set[RayLabel] = set()
-    for l in range(1, p):
-        wall.update((l, k) for k in range(1, t.stage_dims[l - 1] + 1))
-    wall.update((p, k) for k in range(1, t.stage_dims[p - 1]))
+    wall = [(l, k) for l in range(1, p) for k in range(1, t.stage_dims[l - 1] + 1)]
+    wall += [(p, k) for k in range(1, t.stage_dims[p - 1])]
     for q in range(1, m - p + 1):
-        bpq = b[(p, q)]
-        mn = mu(bpq)
-        ipq = 1 + bpq.index(mn) if mn else 0
-        wall.update(
-            (p + q, k) for k in range(0, t.stage_dims[p + q - 1] + 1) if k != ipq
-        )
+        z = (0, *b[(p, q)])
+        ipq = z.index(min(z))
+        wall += [(p + q, k) for k in range(len(z)) if k != ipq]
+    for lab in wall:
+        if lab not in f.index:
+            raise FanError(f"{lab} is not a ray label of the fan")
     wall_idx = {f.index[lab] for lab in wall}
     if len(wall_idx) != f.dim - 1:
         raise FanError(f"tau_{p} has {len(wall_idx)} rays, expected {f.dim - 1}")

@@ -202,12 +202,6 @@ def classify(t: GeneralizedBottTower) -> Classification:
     )
 
 
-def classify_picard_two(n1: int, n2: int, a: IntVec) -> Classification:
-    """Two-stage special case: Fano iff nu(a_{2,1}) <= n_1.  The input is
-    checked as the tower ((n1, n2), {(2, 1): a}) would be."""
-    return classify(GeneralizedBottTower((n1, n2), {(2, 1): a}))
-
-
 def bott_fano(t: GeneralizedBottTower) -> bool:
     """Fano test for Bott manifolds (all n_j = 1) via the three-clause criterion.
 

@@ -66,15 +66,13 @@ def scan_primitive_relation(f, p) -> PrimitiveCollectionData:
     members = frozenset(p)
     target = tuple(map(sum, zip(*(f.ray(lab) for lab in members))))
     if not any(target):
-        return PrimitiveCollectionData(members=members, relation_rhs={}, degree=len(members))
+        return PrimitiveCollectionData(members=members, relation_rhs={})
     for cone in f.max_cones:
         idx = sorted(cone)
         coords = _cone_coordinates([f.rays[i] for i in idx], target)
         if min(coords) >= 0:
             rhs = {f.labels[i]: c for i, c in zip(idx, coords) if c > 0}
-            return PrimitiveCollectionData(
-                members=members, relation_rhs=rhs, degree=len(members) - sum(rhs.values())
-            )
+            return PrimitiveCollectionData(members=members, relation_rhs=rhs)
     raise FanError("no maximal cone contains the ray sum; fan is not complete")
 
 

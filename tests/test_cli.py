@@ -45,6 +45,13 @@ class TestParseDocument:
         with pytest.raises(TowerError, match=r"j=2.*l=1.*k=1"):
             parse_document(json.dumps(doc))
 
+    def test_short_coefficient_row_exit_code(self, capsys, monkeypatch):
+        doc = {"stages": [1, 1, 1], "coefficients": [[[0]], [[0]]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run(capsys, "check") == (
+            2, "", "error: coefficients[j=3] must be an array of 2 vectors (l=1..2)\n"
+        )
+
 
 class TestCheck:
     def test_fano_fixture(self, capsys):
@@ -339,13 +346,14 @@ class TestExpectationFailure:
             )
 
     def test_verify_fails_on_a_degree_the_verdict_hides(self, capsys, monkeypatch):
-        # the zero-sum last-stage collection of degree 3 gets degree 4: both routes still say
-        # fano, so only the comparison of degrees catches it
+        # the zero-sum last-stage collection of degree 3 gets degree 4, by a coefficient -1 on
+        # u[1,0], outside it: both routes still say fano, so only the comparison of degrees
+        # catches it
         original = fan.primitive_relation
 
         def raised(f, pc):
             pr = original(f, pc)
-            return replace(pr, degree=pr.degree + 1) if pc == stage(4, 2) else pr
+            return replace(pr, relation_rhs={(1, 0): -1}) if pc == stage(4, 2) else pr
 
         monkeypatch.setattr(fan, "primitive_relation", raised)
         code, report, err = run_machine(
@@ -540,6 +548,17 @@ class TestEnumerate:
             "fano": 3, "weak_fano_not_fano": 2, "not_weak_fano": 0
         }
 
+    @pytest.mark.parametrize("mode, hits", [("fano", [-1, 0, 1]), ("weak_fano", [-2, -1, 0, 1, 2])])
+    def test_human_hit_listing(self, capsys, mode, hits):
+        code, out, err = run(capsys, "enumerate", "--stages", "1,1", "--range=-2:2", "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out == (
+            "candidates: 5\n"
+            "counts: fano=3, not_weak_fano=0, weak_fano_not_fano=2\n"
+            f"hits ({len(hits)}), slots (j,l,k) = [(2, 1, 1)]:\n"
+            + "".join(f"  [{a}]\n" for a in hits)
+        )
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "--stages", "2,2,2", "--range=-2:2",
@@ -618,3 +637,43 @@ class TestCharyCompare:
         assert code == 2
         assert out == ""
         assert err == "error: 49999995000000 coefficient slots exceed limit 100000\n"
+
+
+@pytest.fixture
+def lowest_int_limit():
+    """The lowest int-to-str limit, 640 digits, until the test ends."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestLowestIntLimit:
+    """Refusals name a number that str cannot print in a short form that is true of it."""
+
+    LINES = ",".join(["1"] * 55)
+
+    @pytest.mark.parametrize("argv", [
+        # 1,485 slots over -1:1: 3^1485 has 709 digits
+        ["chary-compare", "--r", "55"],
+        ["enumerate", "--stages", LINES],
+    ])
+    def test_count_shown_as_a_power(self, capsys, lowest_int_limit, argv):
+        assert run(capsys, *argv, "--range=-1:1") == (
+            2, "", "error: 3^1485 candidates exceed cap 1000000; raise --cap to proceed\n"
+        )
+
+    def test_slot_count_shown_as_a_bound(self, capsys, lowest_int_limit):
+        # 2 * (10^640 - 1) + 1 slots, 641 digits
+        stages = "1,1," + "9" * 640
+        assert run(capsys, "enumerate", "--stages", stages, "--range=-1:1") == (
+            2, "", "error: over 10^639 coefficient slots exceed limit 100000\n"
+        )
+
+    @pytest.mark.parametrize("command", [["fan"], ["relations"], ["check", "--verify"]])
+    def test_cone_count_shown_as_a_bound(self, capsys, monkeypatch, lowest_int_limit, command):
+        # one stage of 10^640 - 1 lines has 10^640 cones, 641 digits
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"stages": [' + "9" * 640 + "]}"))
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err == f"error: fan refused: over 10^639 cones exceed limit {FAN_WORK_LIMIT} on cones*dim^2\n"

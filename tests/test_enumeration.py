@@ -111,6 +111,16 @@ class TestSweep:
             chary_compare(3, (-1, 1), cap=cap)
         assert SweepSpec((1, 1), (0, 0), cap=1).cap == 1
 
+    def test_unprintable_cap_shown_as_a_bound(self):
+        # 10^5000 has 5,001 digits, past the int-to-str limit; 3^10585 has 16,777 bits, past the
+        # cap's 16,610, and is shown as a power
+        with pytest.raises(SweepError) as excinfo:
+            SweepSpec((1,) * 146, (-1, 1), cap=10**5000)
+        assert str(excinfo.value) == (
+            f"3^10585 candidates exceed cap over 10^{sys.get_int_max_str_digits() - 1}; "
+            "raise --cap to proceed"
+        )
+
     def test_slot_count_refused_on_a_single_candidate(self):
         # 100 line stages have 4,950 slots and, over 0:0, one candidate
         with pytest.raises(SweepError, match="^4950 coefficient slots exceed cap 4949;"):

@@ -741,6 +741,21 @@ class TestWallRelation:
         with pytest.raises(FanError, match=rf"^stage index {p} out of range 1\.\.2$"):
             wall_relation(build_fan(t), t, compute_b(t), p)
 
+    def test_fan_without_a_wall_label_raises(self):
+        # tau_1 of the all-zero (1, 1, 1) tower is {u_2^1, u_3^1}; the (1, 1) fan has no stage 3
+        t = make_tower((1, 1, 1), dict.fromkeys([(2, 1), (3, 1), (3, 2)], (0,)))
+        with pytest.raises(FanError) as excinfo:
+            wall_relation(build_fan(hirzebruch(0)), t, compute_b(t), 1)
+        assert str(excinfo.value) == "(3, 1) is not a ray label of the fan"
+
+    def test_fan_of_another_dimension_raises(self):
+        # the (1, 1, 1) fan holds tau_1 = {u_2^1} of the (1, 1) tower, but has dimension 3
+        t = hirzebruch(0)
+        f = build_fan(make_tower((1, 1, 1), dict.fromkeys([(2, 1), (3, 1), (3, 2)], (0,))))
+        with pytest.raises(FanError) as excinfo:
+            wall_relation(f, t, compute_b(t), 1)
+        assert str(excinfo.value) == "tau_1 has 1 rays, expected 2"
+
     def test_cones_not_differing_by_one_ray_raise(self):
         t = make_tower((2,))
         f = build_fan(t)

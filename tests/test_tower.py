@@ -12,7 +12,6 @@ from bottfano import (
     bott_fano,
     chary_condition,
     classify,
-    classify_picard_two,
     compute_b,
     from_bott_matrix,
     validate,
@@ -206,17 +205,17 @@ class TestClassify:
 
 class TestClassifyPicardTwo:
     def test_product_of_lines(self):
-        assert classify_picard_two(1, 1, (0,)).verdict is Verdict.FANO
+        assert classify(GeneralizedBottTower((1, 1), {(2, 1): (0,)})).verdict is Verdict.FANO
 
     def test_positive_pair(self):
-        assert classify_picard_two(3, 2, (0, 2)).verdict is Verdict.FANO
+        assert classify(GeneralizedBottTower((3, 2), {(2, 1): (0, 2)})).verdict is Verdict.FANO
 
     def test_degree_three_surface(self):
-        assert classify_picard_two(1, 1, (3,)).verdict is Verdict.NOT_WEAK_FANO
+        assert classify(GeneralizedBottTower((1, 1), {(2, 1): (3,)})).verdict is Verdict.NOT_WEAK_FANO
 
     def test_length_mismatch(self):
         with pytest.raises(TowerError):
-            classify_picard_two(1, 2, (1,))
+            classify(GeneralizedBottTower((1, 2), {(2, 1): (1,)}))
 
     @pytest.mark.parametrize(
         "n1, n2, a",
@@ -225,17 +224,23 @@ class TestClassifyPicardTwo:
     def test_non_int_input_refused(self, n1, n2, a):
         # (1, 1, (0.5,)) used to be truncated to a = 0 and answer fano
         with pytest.raises(TowerError, match="must be a.*integer"):
-            classify_picard_two(n1, n2, a)
+            classify(GeneralizedBottTower((n1, n2), {(2, 1): a}))
 
-    def test_agrees_with_general_classifier_exhaustively(self):
+    def test_follows_the_picard_two_rule_exhaustively(self):
+        # with two stages, b_{1,1} = a: Fano iff nu(a) <= n_1, weak Fano iff nu(a) <= n_1 + 1
         for n1 in range(1, 4):
             for n2 in range(1, 4):
                 for a in product(range(-3, 4), repeat=n2):
-                    special = classify_picard_two(n1, n2, a)
-                    general = classify(make_tower((n1, n2), {(2, 1): a}))
-                    assert special.verdict is general.verdict
-                    assert special.nu_sums == general.nu_sums
-                    assert special.b_vectors == general.b_vectors
+                    nu_a = sum(a) - (n2 + 1) * min(0, *a)
+                    if nu_a <= n1:
+                        expected = Verdict.FANO
+                    elif nu_a <= n1 + 1:
+                        expected = Verdict.WEAK_FANO_NOT_FANO
+                    else:
+                        expected = Verdict.NOT_WEAK_FANO
+                    cls = classify(GeneralizedBottTower((n1, n2), {(2, 1): a}))
+                    assert cls.verdict is expected
+                    assert cls.nu_sums == (nu_a,)
 
 
 def bott_tower(scalars: dict[tuple[int, int], int], m: int) -> GeneralizedBottTower:
