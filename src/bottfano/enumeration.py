@@ -69,15 +69,16 @@ class SweepError(ValueError):
 
 
 def shown(value: int, short: str | None = None) -> str:
-    """A refusal's text for the int ``value`` >= 0: its decimal digits where
+    """A refusal's text for the int ``value``: its decimal digits where
     ``str`` prints them, as it does up to 4,300 digits unless
     PYTHONINTMAXSTRDIGITS lowers that limit, to as few as 640; past a limit
-    of L digits, ``short``, a true short form of it, or the lower bound
-    "over 10^(L - 1)"."""
+    of L digits, ``short``, a true short form of it, or the bound "over
+    10^(L - 1)", "below -10^(L - 1)" for a negative ``value``."""
     try:
         return str(value)
     except ValueError:
-        return short or f"over 10^{sys.get_int_max_str_digits() - 1}"
+        bound = f"10^{sys.get_int_max_str_digits() - 1}"
+        return short or (f"over {bound}" if value > 0 else f"below -{bound}")
 
 
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
@@ -93,11 +94,11 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     if type(lo) is not int or type(hi) is not int:
         raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
     if lo > hi:
-        raise SweepError(f"empty coefficient range {lo}:{hi}")
+        raise SweepError(f"empty coefficient range {shown(lo)}:{shown(hi)}")
     if type(cap) is not int:
         raise SweepError(f"cap must be an integer, got {cap!r}")
     if cap < 1:  # every sweep has a candidate, so no smaller cap admits one
-        raise SweepError(f"cap must be a positive integer, got {cap}")
+        raise SweepError(f"cap must be a positive integer, got {shown(cap)}")
     if nslots > SLOT_WORK_LIMIT:
         raise SweepError(f"{shown(nslots)} coefficient slots exceed limit {SLOT_WORK_LIMIT}")
     width = hi - lo + 1
@@ -375,7 +376,8 @@ def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -
     are generated row by row (see ``_chary_matrices``).  The work grows
     with those two sets, not with the candidate count."""
     if type(r) is not int or r < 2:
-        raise SweepError(f"chary_compare requires an integer r >= 2, got {r!r}")
+        got = shown(r) if type(r) is int else repr(r)
+        raise SweepError(f"chary_compare requires an integer r >= 2, got {got}")
     # refuse by size before the r-tuple of stages is built
     lo, hi = _check_extent(beta_range, cap, r * (r - 1) // 2)
     dims = (1,) * r

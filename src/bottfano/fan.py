@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from functools import cached_property
+from itertools import combinations
 from math import gcd, prod
 from operator import mul
 
@@ -27,8 +28,9 @@ RayLabel = tuple[int, int]
 BRUTE_FORCE_RAY_LIMIT = 24
 
 #: Largest cones * dim^2 that ``build_fan`` builds.  The slowest tower admitted, (1,)^15 at
-#: 7.4M, takes 0.7-0.9 s and about 45 MB in check --verify on a 2-core x86-64 host, with
-#: every coefficient 0 or every coefficient -1.
+#: 7.4M, takes 0.8-1.3 s and about 44 MB in check --verify, with every coefficient 0 or every
+#: coefficient -1, and 0.4-1.0 s in fan (machine or human output), on a shared 2-core x86-64
+#: host.
 FAN_WORK_LIMIT = 10**7
 
 
@@ -42,9 +44,11 @@ class Fan:
 
     ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` holds cone
     c's ray indices as an ascending tuple, whatever iterable of ints was
-    given, in the order given.  Two bitmask indexes are built from
-    ``max_cones`` alone: bit c of ``ray_cones[i]`` and bit i of
-    ``cone_masks[c]`` are set iff ``max_cones[c]`` contains ray i.
+    given, in the order given.  Two bitmask indexes come from ``max_cones``
+    alone: bit i of ``cone_masks[c]``, built with the fan, and bit c of
+    ``ray_cones[i]``, built on its first read, are set iff ``max_cones[c]``
+    contains ray i.  So a fan that is only validated and printed never
+    builds ``ray_cones``.
     """
 
     dim: int
@@ -71,10 +75,6 @@ class Fan:
                     raise FanError(f"ray {lab} has entry {e!r}, not an int")
             if self.index.setdefault(lab, i) != i:
                 raise FanError(f"label {lab} names rays {self.index[lab]} and {i}")
-        # ray i's mask in base 2, one byte per digit: b"1" at n - c for cone c, and a leading
-        # b"0" so that a ray in no cone parses as 0; one linear pass, then one parse per ray
-        n = len(self.max_cones)
-        digits = [bytearray(b"0" * (n + 1)) for _ in self.rays]
         bits = [1 << i for i in range(len(self.rays))]
         cones = []
         self.cone_masks = []
@@ -94,12 +94,21 @@ class Fan:
                 )
             mask = 0
             for i in cone:
-                digits[i][n - c] = 49  # ord("1")
                 mask |= bits[i]
             cones.append(cone)
             self.cone_masks.append(mask)
         self.max_cones = tuple(cones)
-        self.ray_cones = [int(d, 2) for d in digits]
+
+    @cached_property
+    def ray_cones(self) -> list[int]:
+        # ray i's mask in base 2, one byte per digit: b"1" at n - c for cone c, and a leading
+        # b"0" so that a ray in no cone parses as 0; one linear pass, then one parse per ray
+        n = len(self.max_cones)
+        digits = [bytearray(b"0" * (n + 1)) for _ in self.rays]
+        for c, cone in enumerate(self.max_cones):
+            for i in cone:
+                digits[i][n - c] = 49  # ord("1")
+        return [int(d, 2) for d in digits]
 
     def ray(self, label: RayLabel) -> IntVec:
         return self.rays[self.index[label]]
@@ -152,6 +161,24 @@ def check_fan_size(t: GeneralizedBottTower) -> None:
         raise FanError(f"fan refused: {size} exceed limit {FAN_WORK_LIMIT} on cones*dim^2")
 
 
+def _joined(parts: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every concatenation of one tuple from each of the nonempty lists
+    ``parts``, in lexicographic order of the choices, the last list fastest.
+
+    The first half of the lists and the second are joined on their own,
+    then each head is joined to each tail.  Every result tuple is made by
+    one concatenation of two, and only about the square root of their number
+    of shorter tuples is made on the way, and freed; joining one list at a
+    time makes as many shorter tuples as results, and CPython's per-size
+    free lists keep up to 2,000 of each size once they are freed.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    h = len(parts) // 2
+    head, tail = _joined(parts[:h]), _joined(parts[h:])
+    return [a + b for a in head for b in tail]
+
+
 def build_fan(t: GeneralizedBottTower) -> Fan:
     """The tower's fan; first refuses it as ``check_fan_size`` does."""
     check_fan_size(t)
@@ -182,15 +209,13 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
             rays.append(tuple(ek))
 
     # ray (l, k) follows n_i + 1 rays for each stage i < l, then k more; kept[l - 1][k] is
-    # stage l's rays less (l, k), so the product runs over the choices in lexicographic order
+    # stage l's rays less (l, k), so the cones come in the lexicographic order of the omitted
+    # rays, the last stage fastest; stage slices ascend one after another, so each cone does
     kept = []
     for l, nl in enumerate(dims, start=1):
         stage = tuple(range(offsets[l - 1] + l - 1, offsets[l] + l))
         kept.append([stage[:k] + stage[k + 1:] for k in range(nl + 1)])
-    # stage slices ascend one after another, so each cone does; tuple() of an iterator would
-    # grow it by resizing, and CPython's per-size free lists then keep the short ones, which
-    # raised peak memory
-    max_cones = [(*chain.from_iterable(parts),) for parts in product(*kept)]
+    max_cones = _joined(kept)
     return Fan(
         dim=n,
         rays=tuple(rays),
@@ -271,8 +296,10 @@ def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:
             branch ^= bit
             j = bit.bit_length() - 1
             mask = ray_cones[j]
-            if all(c & mask for c in crit):
-                search((*members, j), face & mask, [c & mask for c in crit] + [face & ~mask], cand)
+            # all() stops at the first member the new ray makes redundant, where a full pass
+            # would AND every mask, each as wide as the fan's cone count
+            if all(map(mask.__and__, crit)):
+                search((*members, j), face & mask, [*map(mask.__and__, crit), face & ~mask], cand)
             cand |= bit
 
     search((), f.cones_containing(()), [], (1 << len(f.rays)) - 1)

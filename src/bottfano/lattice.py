@@ -113,18 +113,20 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     cone fails at its first column whose gcd, or at a tail determinant,
     that is not +-1.
     """
-    keyed = sorted((tuple(cone), c) for c, cone in enumerate(cones))
-    if not keyed:
+    cones = [*map(tuple, cones)]  # the same objects where they are tuples already
+    order = sorted(range(len(cones)), key=cones.__getitem__)
+    if not order:
         return None
-    n = len(keyed[0][0])
-    if {len(cone) for cone, _ in keyed} | {len(ray) for ray in rays} != {n}:
+    n = len(cones[order[0]])
+    if {len(cone) for cone in cones} | {len(ray) for ray in rays} != {n}:
         raise LatticeError(f"first_non_unimodular: every cone and ray needs {n} entries")
     if n == 0:
         return None
     stack = [list(zip(*rays))]
     prev: tuple[int, ...] = ()
     bad = None
-    for cone, c in keyed:
+    for c in order:
+        cone = cones[c]
         k = 0
         top = len(stack) - 1
         while k < top and cone[k] == prev[k]:

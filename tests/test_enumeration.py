@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from itertools import product
@@ -102,12 +103,18 @@ class TestSweep:
         with pytest.raises(SweepError, match="cap must be an integer"):
             SweepSpec((1, 1), (-1, 1), cap=cap)
 
-    @pytest.mark.parametrize("cap", [0, -5])
-    def test_cap_below_one_refused(self, cap):
+    @pytest.mark.parametrize("cap, text", [
+        (0, "0"),
+        (-5, "-5"),
+        # past the int-to-str limit, shown as a bound
+        (-10**5000, f"below -10^{sys.get_int_max_str_digits() - 1}"),
+    ], ids=["0", "-5", "unprintable"])
+    def test_cap_below_one_refused(self, cap, text):
         # every sweep has a candidate; the cap is checked before the slot limit
-        with pytest.raises(SweepError, match=f"^cap must be a positive integer, got {cap}$"):
+        message = f"^{re.escape(f'cap must be a positive integer, got {text}')}$"
+        with pytest.raises(SweepError, match=message):
             SweepSpec((1, SLOT_WORK_LIMIT + 1), (-1, 1), cap=cap)
-        with pytest.raises(SweepError, match=f"^cap must be a positive integer, got {cap}$"):
+        with pytest.raises(SweepError, match=message):
             chary_compare(3, (-1, 1), cap=cap)
         assert SweepSpec((1, 1), (0, 0), cap=1).cap == 1
 
@@ -120,6 +127,16 @@ class TestSweep:
             f"3^10585 candidates exceed cap over 10^{sys.get_int_max_str_digits() - 1}; "
             "raise --cap to proceed"
         )
+
+    def test_unprintable_range_end_shown_as_a_bound(self):
+        # 10^5000 has 5,001 digits, past the int-to-str limit, on either side of zero
+        bound = f"10^{sys.get_int_max_str_digits() - 1}"
+        with pytest.raises(SweepError) as excinfo:
+            SweepSpec((1, 1), (10**5000, 0))
+        assert str(excinfo.value) == f"empty coefficient range over {bound}:0"
+        with pytest.raises(SweepError) as excinfo:
+            chary_compare(3, (0, -10**5000))
+        assert str(excinfo.value) == f"empty coefficient range 0:below -{bound}"
 
     def test_slot_count_refused_on_a_single_candidate(self):
         # 100 line stages have 4,950 slots and, over 0:0, one candidate
@@ -167,11 +184,12 @@ class TestCharyCompare:
 
     @pytest.mark.parametrize("r, beta_range, message", [
         (3.0, (-1, 1), "requires an integer r >= 2, got 3.0"),
+        (-10**5000, (-1, 1), r"requires an integer r >= 2, got below -10\^\d+$"),
         (3, (-1.5, 1), "range ends must be integers"),
         (3, ("-1", "1"), "range ends must be integers"),
         (3, (1, -1), "empty coefficient range 1:-1"),
         (3, (0,), r"coefficient range must be a pair lo, hi, got \(0,\)"),
-    ], ids=["float-r", "float-end", "str-ends", "empty", "not-a-pair"])
+    ], ids=["float-r", "unprintable-r", "float-end", "str-ends", "empty", "not-a-pair"])
     def test_arguments_checked_as_a_sweep_spec(self, r, beta_range, message):
         with pytest.raises(SweepError, match=message):
             chary_compare(r, beta_range)

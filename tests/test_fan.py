@@ -1,5 +1,7 @@
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
+from itertools import chain, product
 from operator import mul
 
 import pytest
@@ -21,12 +23,14 @@ from bottfano import (
     validate_smooth_complete,
     wall_relation,
 )
+from bottfano import cli
 from bottfano import fan as fan_module
 from bottfano.fan import FAN_WORK_LIMIT
 from bottfano import lattice
 from bottfano.lattice import det
 
 from conftest import (
+    FIXTURES,
     fano_4stage,
     hirzebruch,
     make_tower,
@@ -167,6 +171,51 @@ def test_ray_cone_masks_match_the_or_loop(rng):
                 cone_masks[c] |= 1 << i
         assert f.ray_cones == masks
         assert f.cone_masks == cone_masks
+
+
+def test_tower_cones_come_in_the_order_of_the_stage_choices(rng):
+    # cone indices reach the output and the "maximal cone #c" messages, so the order is pinned:
+    # the product over the stages, last stage fastest, of the stage's rays less one ray
+    towers = [random_tower(rng, max_stages=6) for _ in range(50)]
+    towers += [make_tower((n,) * m, {(j, l): (0,) * n for j in range(2, m + 1) for l in range(1, j)})
+               for n, m in ((1, 12), (3, 6))]
+    for t in towers:
+        f = build_fan(t)
+        stages = [[i for i, lab in enumerate(f.labels) if lab[0] == l]
+                  for l in range(1, t.num_stages + 1)]
+        kept = [[tuple(i for i in stage if i != left_out) for left_out in stage] for stage in stages]
+        assert f.max_cones == tuple((*chain.from_iterable(p),) for p in product(*kept))
+
+
+@pytest.fixture
+def ray_cones_built(monkeypatch) -> list:
+    """Patch ``Fan.ray_cones`` to log each fan whose index it builds."""
+    built = []
+    build = Fan.ray_cones.func
+    logged = cached_property(lambda f: built.append(f) or build(f))
+    logged.__set_name__(Fan, "ray_cones")
+    monkeypatch.setattr(Fan, "ray_cones", logged)
+    return built
+
+
+def test_ray_cones_built_on_first_read_only(ray_cones_built):
+    t = make_tower((3,) * 6, {(j, l): (0, 0, 0) for j in range(2, 7) for l in range(1, j)})
+    f = build_fan(t)
+    validate_smooth_complete(f)
+    assert "ray_cones" not in f.__dict__ and ray_cones_built == []
+    assert primitive_collections(f) == {collection_for_stage(t, p) for p in range(1, 7)}
+    masks = f.ray_cones
+    assert f.cones_containing([0]) and primitive_collections(f)
+    assert f.ray_cones is masks and ray_cones_built == [f]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["fan"], 0), (["relations"], 0), (["check", "--verify"], 1),
+], ids=["fan", "relations", "check-verify"])
+def test_only_the_collection_search_builds_ray_cones(capsys, ray_cones_built, argv, builds):
+    assert cli.main([*argv, "--input", str(FIXTURES / "fano_4stage.json")]) == 0
+    capsys.readouterr()
+    assert len(ray_cones_built) == builds
 
 
 @pytest.mark.parametrize("rays, labels, cones, message", [
