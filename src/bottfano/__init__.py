@@ -14,20 +14,22 @@ from .tower import (
     from_bott_matrix,
     validate,
 )
-from .fan import (
+from .oracle import (
     Fan,
     FanError,
     PrimitiveCollectionData,
-    WallData,
     batyrev_classify,
-    build_fan,
-    collection_for_stage,
-    expected_primitive_relation,
     primitive_collections,
     primitive_collections_bruteforce,
     primitive_relation,
-    signed_relation,
     validate_smooth_complete,
+)
+from .fan import (
+    WallData,
+    build_fan,
+    collection_for_stage,
+    expected_primitive_relation,
+    signed_relation,
     wall_relation,
 )
 from .enumeration import (

@@ -18,9 +18,9 @@ import json
 import sys
 from itertools import chain
 
-from . import enumeration, fan as fanmod, tower as towermod
+from . import enumeration, fan as fanmod, oracle as oraclemod, tower as towermod
 from .enumeration import FANO_THREE_STAGE_TRIPLES, SweepError, SweepSpec
-from .fan import FanError
+from .oracle import FanError
 from .tower import GeneralizedBottTower, TowerError, Verdict
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _label(lab) -> str:
     return f"u[{lab[0]},{lab[1]}]"
 
 
-def _relation_to_json(pr: fanmod.PrimitiveCollectionData) -> dict:
+def _relation_to_json(pr: oraclemod.PrimitiveCollectionData) -> dict:
     return {
         "collection": [list(lab) for lab in sorted(pr.members)],
         "rhs": [[list(lab), c] for lab, c in sorted(pr.relation_rhs.items())],
@@ -132,8 +132,8 @@ def cmd_check(args) -> int:
     lines = _check_lines(cls, b_vectors)
     if args.verify:
         f = fanmod.build_fan(t)
-        fanmod.validate_smooth_complete(f)
-        oracle = fanmod.batyrev_classify(f)
+        oraclemod.validate_smooth_complete(f)
+        oracle = oraclemod.batyrev_classify(f)
         # the closed form's stage degrees (n_m + 1 at p = m): equal maps give equal verdicts
         closed = {
             fanmod.collection_for_stage(t, p): n + 1 - s
@@ -177,7 +177,7 @@ def cmd_fan(args) -> int:
     ]
     _require_printable(chain.from_iterable((*pr.relation_rhs.values(), pr.degree) for pr in relations))
     f = fanmod.build_fan(t)
-    fanmod.validate_smooth_complete(f)
+    oraclemod.validate_smooth_complete(f)
     report = {
         "command": "fan",
         "stages": list(t.stage_dims),
@@ -190,15 +190,16 @@ def cmd_fan(args) -> int:
     return EXIT_OK
 
 
-def _fan_lines(f: fanmod.Fan, relations, relations_only: bool):
+def _fan_lines(f: oraclemod.Fan, relations, relations_only: bool):
     """Human output of ``fan``, formatted only as it is printed."""
     if not relations_only:
+        labels = [_label(lab) for lab in f.labels]
         yield f"rays ({len(f.rays)}):"
-        for lab, vec in zip(f.labels, f.rays):
-            yield f"  {_label(lab)} = {list(vec)}"
+        for lab, vec in zip(labels, f.rays):
+            yield f"  {lab} = {list(vec)}"
         yield f"maximal cones ({len(f.max_cones)}):"
         for cone in f.max_cones:
-            yield "  {" + ", ".join(_label(f.labels[i]) for i in cone) + "}"
+            yield "  {" + ", ".join(map(labels.__getitem__, cone)) + "}"
     yield f"primitive collections ({len(relations)}):"
     for pr in relations:
         lhs = " + ".join(_label(lab) for lab in sorted(pr.members))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from bottfano import GeneralizedBottTower, PrimitiveCollectionData
-from bottfano.fan import FanError, _cone_coordinates
+from bottfano.oracle import FanError, _cone_coordinates
 from bottfano.lattice import _next_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -61,7 +61,7 @@ def tail_determinants(rays, cones) -> list[int | None]:
 def scan_primitive_relation(f, p) -> PrimitiveCollectionData:
     """Relation of a primitive collection by the index-order scan: the first
     maximal cone in which the ray sum has coordinates all >= 0.  A
-    reference for the walk of ``bottfano.fan.primitive_relation``; it
+    reference for the walk of ``bottfano.oracle.primitive_relation``; it
     assumes ``p`` is a primitive collection of ``f``."""
     members = frozenset(p)
     target = tuple(map(sum, zip(*(f.ray(lab) for lab in members))))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from bottfano import cli, fan
+from bottfano import cli, fan, oracle
 from bottfano.cli import main, parse_document
 from bottfano.fan import FAN_WORK_LIMIT
 from bottfano.tower import B_WORK_LIMIT, Classification, TowerError, Verdict
@@ -175,7 +175,7 @@ class TestCheck:
             raise AssertionError("a refused tower reached the fan")
 
         monkeypatch.setattr("bottfano.fan.Fan", fail)
-        monkeypatch.setattr("bottfano.fan.validate_smooth_complete", fail)
+        monkeypatch.setattr("bottfano.oracle.validate_smooth_complete", fail)
         documents = [
             ({"stages": [2000], "coefficients": []}, "2001 cones of dimension 2000"),
             ({"stages": [1] * 40, "coefficients": [[[0]] * (j - 1) for j in range(2, 41)]},
@@ -308,7 +308,7 @@ class TestExpectationFailure:
     @pytest.fixture
     def oracle_edit(self, monkeypatch):
         """Replace ``batyrev_classify`` by one whose degree map ``edit`` has changed."""
-        original = fan.batyrev_classify
+        original = oracle.batyrev_classify
 
         def install(edit):
             def edited(f):
@@ -316,7 +316,7 @@ class TestExpectationFailure:
                 edit(degrees)
                 return Classification(verdict=Verdict.from_degrees(degrees.values()), degrees=degrees)
 
-            monkeypatch.setattr(fan, "batyrev_classify", edited)
+            monkeypatch.setattr(oracle, "batyrev_classify", edited)
 
         return install
 
@@ -349,13 +349,13 @@ class TestExpectationFailure:
         # the zero-sum last-stage collection of degree 3 gets degree 4, by a coefficient -1 on
         # u[1,0], outside it: both routes still say fano, so only the comparison of degrees
         # catches it
-        original = fan.primitive_relation
+        original = oracle.primitive_relation
 
         def raised(f, pc):
             pr = original(f, pc)
             return replace(pr, relation_rhs={(1, 0): -1}) if pc == stage(4, 2) else pr
 
-        monkeypatch.setattr(fan, "primitive_relation", raised)
+        monkeypatch.setattr(oracle, "primitive_relation", raised)
         code, report, err = run_machine(
             capsys, "check", "--verify", "--input", str(FIXTURES / "fano_4stage.json")
         )

@@ -24,7 +24,7 @@ from bottfano import (
     wall_relation,
 )
 from bottfano import cli
-from bottfano import fan as fan_module
+from bottfano import oracle
 from bottfano.fan import FAN_WORK_LIMIT
 from bottfano import lattice
 from bottfano.lattice import det
@@ -53,10 +53,10 @@ def hand_fan(rays, cones) -> Fan:
 
 
 def log_solves(monkeypatch) -> list:
-    """Patch ``fan._cone_coordinates`` to log the columns of each cone it solves."""
+    """Patch ``oracle._cone_coordinates`` to log the columns of each cone it solves."""
     solved = []
-    solve = fan_module._cone_coordinates
-    monkeypatch.setattr(fan_module, "_cone_coordinates",
+    solve = oracle._cone_coordinates
+    monkeypatch.setattr(oracle, "_cone_coordinates",
                         lambda cols, target: solved.append(cols) or solve(cols, target))
     return solved
 

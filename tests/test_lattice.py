@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottfano.fan import FanError, _cone_coordinates, build_fan
+from bottfano.fan import build_fan
+from bottfano.oracle import FanError, _cone_coordinates
 from bottfano import lattice
 from bottfano.lattice import LatticeError, det, first_non_unimodular, mu, nu
 
