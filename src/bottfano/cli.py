@@ -77,7 +77,7 @@ def parse_document(text: str) -> GeneralizedBottTower:
 def _read_input(args) -> str:
     try:
         if args.input != "-":  # only "-" means stdin: an empty path is a path
-            with open(args.input) as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 return fh.read()
         return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as e:
@@ -284,7 +284,10 @@ def _chary_lines(result: enumeration.CharyCompareReport):
         yield f"  beta = {list(v)}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: building it costs more
+    than a small ``check``."""
     parser = argparse.ArgumentParser(
         prog="bottfano",
         description="Decide whether a generalized Bott manifold is Fano or weak Fano.",
@@ -334,16 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused: building it costs more
-    than a small ``check``."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: vectors, and one integer elimination,
 ``_next_rows``, by Euclid row steps.  It serves the determinant, the cone
-solves of ``fan``, and a unimodularity test that eliminates the matrix of
-all the rays once, sharing each cone prefix's work among the cones.
+solves of the fan oracle (``oracle._cone_coordinates``), and a unimodularity
+test that eliminates the matrix of all the rays once, sharing each cone
+prefix's work among the cones.
 
 Vectors are tuples of Python ints and matrices are sequences of
 equal-length integer rows.  Python ints are arbitrary precision, so all

@@ -36,9 +36,9 @@ class FanError(ValueError):
 class Fan:
     """Rays and maximal cones of a tower fan in Z^n.
 
-    ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` holds cone
-    c's ray indices as an ascending tuple, whatever iterable of ints was
-    given, in the order given.  Two bitmask indexes come from ``max_cones``
+    ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` is the
+    tuple of cone c's ray indices, kept as given: nothing here reads the
+    order of a cone's rays.  Two bitmask indexes come from ``max_cones``
     alone: bit i of ``cone_masks[c]``, built with the fan, and bit c of
     ``ray_cones[i]``, built on its first read, are set iff ``max_cones[c]``
     contains ray i.  So a fan that is only validated and printed never
@@ -69,29 +69,25 @@ class Fan:
                     raise FanError(f"ray {lab} has entry {e!r}, not an int")
             if self.index.setdefault(lab, i) != i:
                 raise FanError(f"label {lab} names rays {self.index[lab]} and {i}")
-        bits = [1 << i for i in range(len(self.rays))]
-        cones = []
+        nrays = len(self.rays)
+        bits = [1 << i for i in range(nrays)]
         self.cone_masks = []
-        for c, given in enumerate(self.max_cones):
-            try:
-                given = tuple(given)
-            except TypeError:
-                raise FanError(f"maximal cone #{c} is {given!r}, not an iterable of ints") from None
-            for i in given:
+        for c, cone in enumerate(self.max_cones):
+            if type(cone) is not tuple:
+                raise FanError(f"maximal cone #{c} is {cone!r}, not a tuple")
+            mask = 0
+            for i in cone:
                 # exactly int: 1.0 and True would pass the range test as ray 1
                 if type(i) is not int:
                     raise FanError(f"maximal cone #{c} names ray index {i!r}, not an int")
-            cone = tuple(sorted(given))
-            if cone and (cone[0] < 0 or cone[-1] >= len(self.rays)):
+                # an index outside the rays leaves mask at -1 for good; it is refused only
+                # once every index of the cone is known to be an int
+                mask |= bits[i] if 0 <= i < nrays else -1
+            if mask < 0:
                 raise FanError(
-                    f"maximal cone #{c} {list(cone)} names a ray outside 0..{len(self.rays) - 1}"
+                    f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{nrays - 1}"
                 )
-            mask = 0
-            for i in cone:
-                mask |= bits[i]
-            cones.append(cone)
             self.cone_masks.append(mask)
-        self.max_cones = tuple(cones)
 
     @cached_property
     def ray_cones(self) -> list[int]:

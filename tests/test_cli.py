@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -135,6 +137,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", str(bad))
         assert code == 1
         assert err.startswith("error: cannot read")
+
+    def test_utf8_document_read_alike_from_a_file_and_stdin_under_the_c_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259), whatever encoding the locale names
+        doc = tmp_path / "doc.json"
+        doc.write_bytes('{"stages": [1], "note": "\u00e9"}'.encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv, stdin in ((["--input", str(doc)], b""), ([], doc.read_bytes())):
+            proc = subprocess.run([sys.executable, "-m", "bottfano.cli", "check", *argv],
+                                  input=stdin, env=env, capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_empty_input_path_does_not_read_stdin(self, capsys, monkeypatch):
         # only "-" means stdin, so --input "$DOC" with DOC unset cannot block on a terminal
