@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -457,8 +458,85 @@ class TestFan:
         assert len(report["relations"]) == 2
 
 
+class Digest(str):
+    """The sha256 of a stdout too long to pin as text."""
+
+
+#: Whole stdout of every (command, fixture, format); the four longest by sha256.
 HUMAN_OUTPUT = {
-    ("fan", "hirzebruch_a1.json"): """\
+    ("check", "fano_4stage.json", "human"): """\
+verdict: fano
+  p=1: sum of nu(b[1,q]) = 3  (Fano <= 3, weak Fano <= 4)
+  p=2: sum of nu(b[2,q]) = 2  (Fano <= 2, weak Fano <= 3)
+  p=3: sum of nu(b[3,q]) = 1  (Fano <= 2, weak Fano <= 3)
+  b[1,1] = [-1, -1]
+  b[1,2] = [0, 1]
+  b[1,3] = [0, 1]
+  b[2,1] = [0, -1]
+  b[2,2] = [0, 0]
+  b[3,1] = [0, 1]
+""",
+    ("check", "fano_4stage.json", "machine"): (
+        '{"b_vectors": {"1,1": [-1, -1], "1,2": [0, 1], "1,3": [0, 1], "2,1": [0, -1], '
+        '"2,2": [0, 0], "3,1": [0, 1]}, "command": "check", "nu_sums": [3, 2, 1], "stages": [3, '
+        '2, 2, 2], "thresholds": [[3, 4], [2, 3], [2, 3]], "verdict": "fano"}\n'
+    ),
+    ("check --verify", "fano_4stage.json", "human"): """\
+verdict: fano
+  p=1: sum of nu(b[1,q]) = 3  (Fano <= 3, weak Fano <= 4)
+  p=2: sum of nu(b[2,q]) = 2  (Fano <= 2, weak Fano <= 3)
+  p=3: sum of nu(b[3,q]) = 1  (Fano <= 2, weak Fano <= 3)
+  b[1,1] = [-1, -1]
+  b[1,2] = [0, 1]
+  b[1,3] = [0, 1]
+  b[2,1] = [0, -1]
+  b[2,2] = [0, 0]
+  b[3,1] = [0, 1]
+verify: fan criterion agrees
+""",
+    ("check --verify", "fano_4stage.json", "machine"): (
+        '{"b_vectors": {"1,1": [-1, -1], "1,2": [0, 1], "1,3": [0, 1], "2,1": [0, -1], '
+        '"2,2": [0, 0], "3,1": [0, 1]}, "command": "check", "nu_sums": [3, 2, 1], "stages": [3, '
+        '2, 2, 2], "thresholds": [[3, 4], [2, 3], [2, 3]], "verdict": "fano", "verified": true}\n'
+    ),
+    ("fan", "fano_4stage.json", "human"):  # 8917 bytes
+        Digest("212525138ef7b78a53d3e53c57d1fa824d9452e6263ce242430c8dd37a02c482"),
+    ("fan", "fano_4stage.json", "machine"):  # 4294 bytes
+        Digest("a81b6d8e6eed9a34b3c5f338523fbc6860f6ef04fa62e70113e2d629a4dd53bb"),
+    ("relations", "fano_4stage.json", "human"): """\
+primitive collections (4):
+  u[1,0] + u[1,1] + u[1,2] + u[1,3] = 1*u[2,0] + 1*u[3,2] + 1*u[4,2]   (degree 1)
+  u[2,0] + u[2,1] + u[2,2] = 1*u[3,0] + 1*u[3,1]   (degree 1)
+  u[3,0] + u[3,1] + u[3,2] = 1*u[4,2]   (degree 2)
+  u[4,0] + u[4,1] + u[4,2] = 0   (degree 3)
+""",
+    ("relations", "fano_4stage.json", "machine"): (
+        '{"command": "fan", "relations": [{"collection": [[1, 0], [1, 1], [1, 2], [1, 3]], '
+        '"degree": 1, "rhs": [[[2, 0], 1], [[3, 2], 1], [[4, 2], 1]]}, {"collection": [[2, 0], '
+        '[2, 1], [2, 2]], "degree": 1, "rhs": [[[3, 0], 1], [[3, 1], 1]]}, {"collection": [[3, '
+        '0], [3, 1], [3, 2]], "degree": 2, "rhs": [[[4, 2], 1]]}, {"collection": [[4, 0], [4, '
+        '1], [4, 2]], "degree": 3, "rhs": []}], "stages": [3, 2, 2, 2]}\n'
+    ),
+    ("check", "hirzebruch_a1.json", "human"): """\
+verdict: fano
+  p=1: sum of nu(b[1,q]) = 1  (Fano <= 1, weak Fano <= 2)
+  b[1,1] = [1]
+""",
+    ("check", "hirzebruch_a1.json", "machine"): (
+        '{"b_vectors": {"1,1": [1]}, "command": "check", "nu_sums": [1], "stages": [1, 1], '
+        '"thresholds": [[1, 2]], "verdict": "fano"}\n'
+    ),
+    ("check --verify", "hirzebruch_a1.json", "human"): """\
+verdict: fano
+  p=1: sum of nu(b[1,q]) = 1  (Fano <= 1, weak Fano <= 2)
+  b[1,1] = [1]
+verify: fan criterion agrees
+""",
+    ("check --verify", "hirzebruch_a1.json", "machine"): (
+        '{"b_vectors": {"1,1": [1]}, "command": "check", "nu_sums": [1], "stages": [1, 1], '
+        '"thresholds": [[1, 2]], "verdict": "fano", "verified": true}\n'
+    ),
+    ("fan", "hirzebruch_a1.json", "human"): """\
 rays (4):
   u[1,0] = [-1, 1]
   u[1,1] = [1, 0]
@@ -473,33 +551,120 @@ primitive collections (2):
   u[1,0] + u[1,1] = 1*u[2,1]   (degree 1)
   u[2,0] + u[2,1] = 0   (degree 2)
 """,
-    ("relations", "hirzebruch_a1.json"): """\
+    ("fan", "hirzebruch_a1.json", "machine"): (
+        '{"command": "fan", "max_cones": [[1, 3], [1, 2], [0, 3], [0, 2]], "rays": [[[1, 0], '
+        '[-1, 1]], [[1, 1], [1, 0]], [[2, 0], [0, -1]], [[2, 1], [0, 1]]], '
+        '"relations": [{"collection": [[1, 0], [1, 1]], "degree": 1, "rhs": [[[2, 1], 1]]}, '
+        '{"collection": [[2, 0], [2, 1]], "degree": 2, "rhs": []}], "stages": [1, 1]}\n'
+    ),
+    ("relations", "hirzebruch_a1.json", "human"): """\
 primitive collections (2):
   u[1,0] + u[1,1] = 1*u[2,1]   (degree 1)
   u[2,0] + u[2,1] = 0   (degree 2)
 """,
-    ("check --verify", "fano_4stage.json"): """\
-verdict: fano
-  p=1: sum of nu(b[1,q]) = 3  (Fano <= 3, weak Fano <= 4)
-  p=2: sum of nu(b[2,q]) = 2  (Fano <= 2, weak Fano <= 3)
-  p=3: sum of nu(b[3,q]) = 1  (Fano <= 2, weak Fano <= 3)
-  b[1,1] = [-1, -1]
-  b[1,2] = [0, 1]
-  b[1,3] = [0, 1]
-  b[2,1] = [0, -1]
-  b[2,2] = [0, 0]
-  b[3,1] = [0, 1]
+    ("relations", "hirzebruch_a1.json", "machine"): (
+        '{"command": "fan", "relations": [{"collection": [[1, 0], [1, 1]], "degree": 1, '
+        '"rhs": [[[2, 1], 1]]}, {"collection": [[2, 0], [2, 1]], "degree": 2, "rhs": []}], '
+        '"stages": [1, 1]}\n'
+    ),
+    ("check", "not_weak_fano_3stage.json", "human"): """\
+verdict: not_weak_fano
+  p=1: sum of nu(b[1,q]) = 5  (Fano <= 3, weak Fano <= 4)
+  p=2: sum of nu(b[2,q]) = 3  (Fano <= 3, weak Fano <= 4)
+  b[1,1] = [0, -1, -1]
+  b[1,2] = [-2, -1]
+  b[2,1] = [-2, -1]
+""",
+    ("check", "not_weak_fano_3stage.json", "machine"): (
+        '{"b_vectors": {"1,1": [0, -1, -1], "1,2": [-2, -1], "2,1": [-2, -1]}, '
+        '"command": "check", "nu_sums": [5, 3], "stages": [3, 3, 2], "thresholds": [[3, 4], [3, '
+        '4]], "verdict": "not_weak_fano"}\n'
+    ),
+    ("check --verify", "not_weak_fano_3stage.json", "human"): """\
+verdict: not_weak_fano
+  p=1: sum of nu(b[1,q]) = 5  (Fano <= 3, weak Fano <= 4)
+  p=2: sum of nu(b[2,q]) = 3  (Fano <= 3, weak Fano <= 4)
+  b[1,1] = [0, -1, -1]
+  b[1,2] = [-2, -1]
+  b[2,1] = [-2, -1]
 verify: fan criterion agrees
 """,
+    ("check --verify", "not_weak_fano_3stage.json", "machine"): (
+        '{"b_vectors": {"1,1": [0, -1, -1], "1,2": [-2, -1], "2,1": [-2, -1]}, '
+        '"command": "check", "nu_sums": [5, 3], "stages": [3, 3, 2], "thresholds": [[3, 4], [3, '
+        '4]], "verdict": "not_weak_fano", "verified": true}\n'
+    ),
+    ("fan", "not_weak_fano_3stage.json", "human"):  # 3893 bytes
+        Digest("5fd25386ce1bb3e0db6ed443af62cd48fa7bf1bed33247d33152251289f9f863"),
+    ("fan", "not_weak_fano_3stage.json", "machine"):  # 2059 bytes
+        Digest("587c37b2cfb34f9a8341927629850e63fb8d10bfcce89d4bb88857aa3f9ef870"),
+    ("relations", "not_weak_fano_3stage.json", "human"): """\
+primitive collections (3):
+  u[1,0] + u[1,1] + u[1,2] + u[1,3] = 1*u[2,0] + 1*u[2,1] + 2*u[3,0] + 1*u[3,2]   (degree -1)
+  u[2,0] + u[2,1] + u[2,2] + u[2,3] = 2*u[3,0] + 1*u[3,2]   (degree 1)
+  u[3,0] + u[3,1] + u[3,2] = 0   (degree 3)
+""",
+    ("relations", "not_weak_fano_3stage.json", "machine"): (
+        '{"command": "fan", "relations": [{"collection": [[1, 0], [1, 1], [1, 2], [1, 3]], '
+        '"degree": -1, "rhs": [[[2, 0], 1], [[2, 1], 1], [[3, 0], 2], [[3, 2], 1]]}, '
+        '{"collection": [[2, 0], [2, 1], [2, 2], [2, 3]], "degree": 1, "rhs": [[[3, 0], 2], [[3, '
+        '2], 1]]}, {"collection": [[3, 0], [3, 1], [3, 2]], "degree": 3, "rhs": []}], '
+        '"stages": [3, 3, 2]}\n'
+    ),
+    ("check", "projective_plane.json", "human"): """\
+verdict: fano
+""",
+    ("check", "projective_plane.json", "machine"): (
+        '{"b_vectors": {}, "command": "check", "nu_sums": [], "stages": [2], "thresholds": [], '
+        '"verdict": "fano"}\n'
+    ),
+    ("check --verify", "projective_plane.json", "human"): """\
+verdict: fano
+verify: fan criterion agrees
+""",
+    ("check --verify", "projective_plane.json", "machine"): (
+        '{"b_vectors": {}, "command": "check", "nu_sums": [], "stages": [2], "thresholds": [], '
+        '"verdict": "fano", "verified": true}\n'
+    ),
+    ("fan", "projective_plane.json", "human"): """\
+rays (3):
+  u[1,0] = [-1, -1]
+  u[1,1] = [1, 0]
+  u[1,2] = [0, 1]
+maximal cones (3):
+  {u[1,1], u[1,2]}
+  {u[1,0], u[1,2]}
+  {u[1,0], u[1,1]}
+primitive collections (1):
+  u[1,0] + u[1,1] + u[1,2] = 0   (degree 3)
+""",
+    ("fan", "projective_plane.json", "machine"): (
+        '{"command": "fan", "max_cones": [[1, 2], [0, 2], [0, 1]], "rays": [[[1, 0], [-1, -1]], '
+        '[[1, 1], [1, 0]], [[1, 2], [0, 1]]], "relations": [{"collection": [[1, 0], [1, 1], [1, '
+        '2]], "degree": 3, "rhs": []}], "stages": [2]}\n'
+    ),
+    ("relations", "projective_plane.json", "human"): """\
+primitive collections (1):
+  u[1,0] + u[1,1] + u[1,2] = 0   (degree 3)
+""",
+    ("relations", "projective_plane.json", "machine"): (
+        '{"command": "fan", "relations": [{"collection": [[1, 0], [1, 1], [1, 2]], "degree": 3, '
+        '"rhs": []}], "stages": [2]}\n'
+    ),
 }
 
 
 class TestHumanOutput:
-    @pytest.mark.parametrize("command, fixture", sorted(HUMAN_OUTPUT))
-    def test_whole_stdout(self, capsys, command, fixture):
-        code, out, err = run(capsys, *command.split(), "--input", str(FIXTURES / fixture))
+    @pytest.mark.parametrize("command, fixture, fmt", sorted(HUMAN_OUTPUT))
+    def test_whole_stdout(self, capsys, command, fixture, fmt):
+        code, out, err = run(
+            capsys, *command.split(), "--input", str(FIXTURES / fixture), "--format", fmt
+        )
         assert (code, err) == (0, "")
-        assert out == HUMAN_OUTPUT[command, fixture]
+        expected = HUMAN_OUTPUT[command, fixture, fmt]
+        if isinstance(expected, Digest):
+            out = hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected
 
     @pytest.mark.parametrize("command", ["fan", "relations"])
     def test_machine_output_formats_no_lines(self, capsys, monkeypatch, command):
