@@ -70,7 +70,7 @@ def parse_document(text: str) -> GeneralizedBottTower:
             vec = row[l - 1]
             if not isinstance(vec, list):
                 raise TowerError(f"coefficients[j={j}][l={l}] must be an array of n_{j} integers")
-            coeffs[(j, l)] = vec
+            coeffs[(j, l)] = tuple(vec)
     return GeneralizedBottTower(tuple(stages), coeffs)
 
 

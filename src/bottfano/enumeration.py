@@ -82,15 +82,14 @@ def shown(value: int, short: str | None = None) -> str:
 
 
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
-    """Check the range ends and the cap, a positive int, then refuse a
-    sweep of ``nslots`` slots over ``coeff_range`` whose slot count exceeds
-    ``SLOT_WORK_LIMIT``, or whose candidate count, or slot count, exceeds
-    ``cap``; return the range ends.  The fixed limit comes first, so
+    """Check the range, a tuple of two int ends, and the cap, a positive
+    int, then refuse a sweep of ``nslots`` slots over ``coeff_range`` whose
+    slot count exceeds ``SLOT_WORK_LIMIT``, or whose candidate count, or
+    slot count, exceeds ``cap``; return the range ends.  The fixed limit comes first, so
     "raise --cap" is advised only where raising the cap can help."""
-    try:
-        lo, hi = coeff_range
-    except (TypeError, ValueError):
-        raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}") from None
+    if type(coeff_range) is not tuple or len(coeff_range) != 2:
+        raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}")
+    lo, hi = coeff_range
     if type(lo) is not int or type(hi) is not int:
         raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
     if lo > hi:
@@ -122,7 +121,8 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
 
 @dataclass
 class SweepSpec:
-    """Sweep parameters, checked when built (cap and size too), so any spec can run."""
+    """Sweep parameters, checked when built (cap and size too), so any spec can run;
+    the stage and range tuples are kept as given, and a list is refused."""
 
     stage_dims: tuple[int, ...]
     coeff_range: tuple[int, int]
@@ -130,17 +130,13 @@ class SweepSpec:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        try:
-            self.stage_dims = tuple(self.stage_dims)
-            valid = self.stage_dims and all(type(n) is int and n >= 1 for n in self.stage_dims)
-        except TypeError:  # not a sequence at all
-            valid = False
-        if not valid:
-            raise SweepError(f"stage dimensions must be positive integers, got {self.stage_dims!r}")
+        dims = self.stage_dims
+        if type(dims) is not tuple or not dims or not all(type(n) is int and n >= 1 for n in dims):
+            raise SweepError(f"stage dimensions must be positive integers, got {dims!r}")
         if self.mode not in SWEEP_MODES:
             raise SweepError(f"unknown mode {self.mode!r}; expected one of {SWEEP_MODES}")
-        nslots = sum((j - 1) * n for j, n in enumerate(self.stage_dims, start=1))
-        self.coeff_range = _check_extent(self.coeff_range, self.cap, nslots)
+        nslots = sum((j - 1) * n for j, n in enumerate(dims, start=1))
+        _check_extent(self.coeff_range, self.cap, nslots)
 
 
 @dataclass

@@ -100,7 +100,8 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
 
     # ray (l, k) follows n_i + 1 rays for each stage i < l, then k more; kept[l - 1][k] is
     # stage l's rays less (l, k), so the cones come in the lexicographic order of the omitted
-    # rays, the last stage fastest; stage slices ascend one after another, so each cone does
+    # rays, the last stage fastest; stage slices ascend one after another, so each cone's tuple
+    # comes out strictly ascending with no sort, which Fan does not check again
     kept = []
     for l, nl in enumerate(dims, start=1):
         stage = tuple(range(offsets[l - 1] + l - 1, offsets[l] + l))

@@ -34,7 +34,7 @@ class FanError(ValueError):
 
 @dataclass
 class Fan:
-    """Rays and maximal cones of a tower fan in Z^n.
+    """Rays and maximal cones of a fan in Z^n.
 
     ``labels[i]`` is the (l, k) pair of ray i; ``max_cones[c]`` is the
     tuple of cone c's ray indices, kept as given: nothing here reads the

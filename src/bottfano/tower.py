@@ -43,28 +43,14 @@ class GeneralizedBottTower:
 
     ``coeffs`` maps (j, l) with 2 <= j <= m, 1 <= l <= j-1 to an integer
     tuple of length n_j.  Checked by ``validate`` when it is built, so
-    every tower in hand is valid; treated as immutable after that.
+    every tower in hand is valid; the tuples and the dict are kept as
+    given, not copied, and treated as immutable after that.
     """
 
     stage_dims: tuple[int, ...]
     coeffs: dict[tuple[int, int], IntVec] = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            self.stage_dims = tuple(self.stage_dims)
-        except TypeError:
-            raise TowerError(f"stage dimensions must be a sequence, got {self.stage_dims!r}") from None
-        if not isinstance(self.coeffs, dict):
-            raise TowerError(f"coefficients must be a dict keyed by (j, l), got {self.coeffs!r}")
-        coeffs = {}
-        for jl, vec in self.coeffs.items():
-            try:
-                coeffs[jl] = tuple(vec)
-            except TypeError:
-                raise TowerError(
-                    f"coefficient vector {jl!r} must be a sequence of integers, got {vec!r}"
-                ) from None
-        self.coeffs = coeffs
         validate(self)
 
     @property
@@ -97,7 +83,11 @@ class Classification:
 
 @dataclass
 class BottMatrix:
-    """Upper triangular integer matrix with unit diagonal."""
+    """Upper triangular integer matrix with unit diagonal.
+
+    Unlike a tower, it takes any sequence of rows and stores them as
+    tuples: ``perfbench/workloads.py`` builds it from lists of lists.
+    """
 
     beta: tuple[tuple[int, ...], ...]
 
@@ -124,10 +114,14 @@ class BottMatrix:
 
 
 def validate(t: GeneralizedBottTower) -> None:
-    """Check index ranges, that every key is a pair of ints, coefficient-vector
-    lengths and that every entry is an int (a bool or a float is refused, not
+    """Check that the stage dimensions are a tuple, the coefficients a dict
+    and each vector a tuple (a list is refused, not converted), then index
+    ranges, that every key is a pair of ints, coefficient-vector lengths and
+    that every entry is an int (a bool or a float is refused, not
     truncated), naming (j, l) and the path in a tower document."""
     dims = t.stage_dims
+    if type(dims) is not tuple:
+        raise TowerError(f"stage dimensions must be a tuple, got {type(dims).__name__}")
     m = len(dims)
     if m < 1:
         raise TowerError("at least one stage required")
@@ -136,6 +130,8 @@ def validate(t: GeneralizedBottTower) -> None:
             raise TowerError(
                 f"stage dimension n_{j} must be a positive integer, got {n!r} (stages[j={j}])"
             )
+    if not isinstance(t.coeffs, dict):
+        raise TowerError(f"coefficients must be a dict keyed by (j, l), got {t.coeffs!r}")
     for key in t.coeffs:
         if type(key) is not tuple or len(key) != 2 or not all(type(i) is int for i in key):
             raise TowerError(f"coefficient key {key!r} must be a pair of integers (j, l)")
@@ -145,6 +141,9 @@ def validate(t: GeneralizedBottTower) -> None:
     for j, l in sorted(t.coeffs.keys() - expected):
         raise TowerError(f"unexpected coefficient vector a[{j},{l}]")
     for (j, l), vec in sorted(t.coeffs.items()):
+        if type(vec) is not tuple:
+            raise TowerError(f"coefficient vector a[{j},{l}] (coefficients[j={j}][l={l}]) must be "
+                             f"a tuple, got {type(vec).__name__}")
         nj = dims[j - 1]
         if len(vec) != nj:
             raise TowerError(

@@ -94,6 +94,18 @@ class TestSweep:
         with pytest.raises(SweepError, match="range ends must be integers"):
             SweepSpec((1, 1), bounds)
 
+    def test_keeps_its_tuples(self):
+        dims, rng = (1, 2), (-1, 1)
+        spec = SweepSpec(dims, rng)
+        assert spec.stage_dims is dims and spec.coeff_range is rng
+
+    def test_lists_refused(self):
+        # refused, not converted: the command line hands the spec tuples
+        with pytest.raises(SweepError, match=r"^stage dimensions must be positive integers, got \[1, 1\]$"):
+            SweepSpec([1, 1], (-1, 1))
+        with pytest.raises(SweepError, match=r"^coefficient range must be a pair lo, hi, got \[-1, 1\]$"):
+            SweepSpec((1, 1), [-1, 1])
+
     def test_range_not_a_pair_rejected(self):
         with pytest.raises(SweepError, match=r"^coefficient range must be a pair lo, hi, got \(1, 2, 3\)$"):
             SweepSpec((1, 1), (1, 2, 3))

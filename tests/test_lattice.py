@@ -307,7 +307,7 @@ class TestFirstNonUnimodular:
 
     def test_cone_order_and_type_do_not_change_the_result(self):
         # random cone systems in their sorted form, then with each cone's indices shuffled
-        # (as lists), reversed, as frozensets, and with one cone naming a ray twice
+        # (as lists), reversed, and with one cone naming a ray twice
         rng = random.Random(1912)
         entries = (0, 0, 0, 1, 1, -1, -1, 2, -2)
         unimodular = repeated = 0
@@ -322,14 +322,14 @@ class TestFirstNonUnimodular:
                 assert first_non_unimodular(rays, system) == expected
                 assert first_non_unimodular(rays, [rng.sample(cone, n) for cone in system]) == expected
                 assert first_non_unimodular(rays, [cone[::-1] for cone in system]) == expected
-                assert first_non_unimodular(rays, [frozenset(cone) for cone in system]) == expected
             if n > 1 and good:
                 twice = list(good[0])
                 twice[rng.randrange(n)] = twice[rng.randrange(n)]
                 if len(set(twice)) < n:
                     repeated += 1
                     at = rng.randint(0, len(good))
-                    for cone in (twice, sorted(twice)):
+                    # a tuple, as the other cones are: the cones are compared, not converted
+                    for cone in (tuple(twice), tuple(sorted(twice))):
                         assert first_non_unimodular(rays, good[:at] + [cone] + good[at:]) == at
         assert unimodular > 1000 and repeated > 100
 

@@ -68,20 +68,28 @@ class TestValidate:
         with pytest.raises(TowerError, match=rf"coefficient key {re.escape(repr(key))} must be a pair"):
             GeneralizedBottTower((1, 1), coeffs)
 
-    def test_vector_not_a_sequence_refused(self):
-        with pytest.raises(
-            TowerError, match=r"^coefficient vector \(2, 1\) must be a sequence of integers, got 5$"
-        ):
-            GeneralizedBottTower((1, 1), {(2, 1): 5})
+    @pytest.mark.parametrize("vec, kind", [([0], "list"), (5, "int"), (None, "NoneType")])
+    def test_vector_not_a_tuple_refused(self, vec, kind):
+        # a list is refused, not converted: cli.parse_document hands the tower tuples
+        message = f"coefficient vector a[2,1] (coefficients[j=2][l=1]) must be a tuple, got {kind}"
+        with pytest.raises(TowerError, match=f"^{re.escape(message)}$"):
+            GeneralizedBottTower((1, 1), {(2, 1): vec})
 
     @pytest.mark.parametrize("coeffs", [[(1,)], None])
     def test_coefficients_not_a_dict_refused(self, coeffs):
         with pytest.raises(TowerError, match=r"^coefficients must be a dict keyed by \(j, l\)"):
             GeneralizedBottTower((1, 1), coeffs)
 
-    def test_stage_dims_not_a_sequence_refused(self):
-        with pytest.raises(TowerError, match="^stage dimensions must be a sequence, got 3$"):
-            GeneralizedBottTower(3)
+    @pytest.mark.parametrize("dims, kind", [([1, 1], "list"), (3, "int"), (None, "NoneType")])
+    def test_stage_dims_not_a_tuple_refused(self, dims, kind):
+        with pytest.raises(TowerError, match=f"^stage dimensions must be a tuple, got {kind}$"):
+            GeneralizedBottTower(dims, {(2, 1): (0,)})
+
+    def test_keeps_what_it_is_given(self):
+        dims, vec = (1, 2), (3, -1)
+        coeffs = {(2, 1): vec}
+        t = GeneralizedBottTower(dims, coeffs)
+        assert t.stage_dims is dims and t.coeffs is coeffs and t.a(2, 1) is vec
 
     def test_no_stage_refused(self):
         with pytest.raises(TowerError, match="^at least one stage required$"):
