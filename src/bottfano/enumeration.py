@@ -85,8 +85,9 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     """Check the range, a tuple of two int ends, and the cap, a positive
     int, then refuse a sweep of ``nslots`` slots over ``coeff_range`` whose
     slot count exceeds ``SLOT_WORK_LIMIT``, or whose candidate count, or
-    slot count, exceeds ``cap``; return the range ends.  The fixed limit comes first, so
-    "raise --cap" is advised only where raising the cap can help."""
+    slot count, exceeds ``cap``; return the range ends.  The fixed limit
+    comes first, so "raise --cap" is advised only where raising the cap can
+    help."""
     if type(coeff_range) is not tuple or len(coeff_range) != 2:
         raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}")
     lo, hi = coeff_range

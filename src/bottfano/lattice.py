@@ -98,11 +98,11 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     or None if every cone's rays are.
 
     Each cone lists n indices into ``rays``, and each ray has n integer
-    entries.  The cones are all tuples or all lists, read as given: they
-    are compared, not converted.  One exact elimination of the n x len(rays)
-    matrix V whose columns are the rays serves all the cones, taken in the
-    order of their index sequences (a cone's order of rays does not change
-    whether they form a basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
+    entries.  One exact elimination of the n x len(rays) matrix V whose
+    columns are the rays serves all the cones, taken in the order of their
+    index sequences as given, all tuples or all lists, since they are
+    compared (a cone's order of rays does not change whether they form a
+    basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
     k..n-1 of T_k V, where the integer unimodular row transform T_k (T_0 =
     I) brings the first k rays of the current cone to unit upper-triangular
     form; no later step reads rows 0..k-1.  A cone pops the stack back to
