@@ -88,7 +88,9 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     slot count, exceeds ``cap``; return the range ends.  The fixed limit
     comes first, so "raise --cap" is advised only where raising the cap can
     help."""
-    if type(coeff_range) is not tuple or len(coeff_range) != 2:
+    if type(coeff_range) is not tuple:
+        raise SweepError(f"coefficient range must be a tuple, got {type(coeff_range).__name__}")
+    if len(coeff_range) != 2:
         raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}")
     lo, hi = coeff_range
     if type(lo) is not int or type(hi) is not int:
@@ -132,7 +134,9 @@ class SweepSpec:
 
     def __post_init__(self):
         dims = self.stage_dims
-        if type(dims) is not tuple or not dims or not all(type(n) is int and n >= 1 for n in dims):
+        if type(dims) is not tuple:
+            raise SweepError(f"stage dimensions must be a tuple, got {type(dims).__name__}")
+        if not dims or not all(type(n) is int and n >= 1 for n in dims):
             raise SweepError(f"stage dimensions must be positive integers, got {dims!r}")
         if self.mode not in SWEEP_MODES:
             raise SweepError(f"unknown mode {self.mode!r}; expected one of {SWEEP_MODES}")

@@ -100,9 +100,9 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     Each cone lists n indices into ``rays``, and each ray has n integer
     entries.  One exact elimination of the n x len(rays) matrix V whose
     columns are the rays serves all the cones, taken in the order of their
-    index sequences as given, all tuples or all lists, since they are
-    compared (a cone's order of rays does not change whether they form a
-    basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
+    index tuples or lists as given, and where both come, tuples first,
+    since a tuple and a list do not compare (a cone's order of rays does
+    not change whether they form a basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
     k..n-1 of T_k V, where the integer unimodular row transform T_k (T_0 =
     I) brings the first k rays of the current cone to unit upper-triangular
     form; no later step reads rows 0..k-1.  A cone pops the stack back to
@@ -115,7 +115,8 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     cone fails at its first column whose gcd, or at a tail determinant,
     that is not +-1.
     """
-    order = sorted(range(len(cones)), key=cones.__getitem__)
+    order = sorted(range(len(cones)), key=cones.__getitem__ if len({*map(type, cones)}) < 2
+                   else lambda c: (type(cones[c]) is list, cones[c]))
     if not order:
         return None
     n = len(cones[order[0]])

@@ -84,11 +84,16 @@ class TestSweep:
         with pytest.raises(SweepError, match="empty"):
             SweepSpec((1, 1), (2, -2))
 
-    # a list is refused, not converted: the command line hands the spec tuples
-    @pytest.mark.parametrize("dims", [(1, 1.0), (True, 1), ("1", 1), (1, 0), (), 5, [1, 1]])
+    @pytest.mark.parametrize("dims", [(1, 1.0), (True, 1), ("1", 1), (1, 0), ()])
     def test_bad_stage_dims_rejected(self, dims):
         message = f"stage dimensions must be positive integers, got {dims!r}"
         with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+            SweepSpec(dims, (-1, 1))
+
+    # a list is refused, not converted: the command line hands the spec tuples
+    @pytest.mark.parametrize("dims, kind", [([1, 1], "list"), (5, "int"), (None, "NoneType")])
+    def test_stage_dims_not_a_tuple_refused(self, dims, kind):
+        with pytest.raises(SweepError, match=f"^stage dimensions must be a tuple, got {kind}$"):
             SweepSpec(dims, (-1, 1))
 
     @pytest.mark.parametrize("bounds", [(-1.5, 1), (-1, 1.0), (False, 1), ("-1", "1")])
@@ -101,10 +106,13 @@ class TestSweep:
         spec = SweepSpec(dims, rng)
         assert spec.stage_dims is dims and spec.coeff_range is rng
 
-    @pytest.mark.parametrize("bounds", [(1, 2, 3), [-1, 1]])
-    def test_range_not_a_pair_rejected(self, bounds):
-        message = f"coefficient range must be a pair lo, hi, got {bounds!r}"
-        with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
+    def test_range_not_a_pair_rejected(self):
+        with pytest.raises(SweepError, match=r"^coefficient range must be a pair lo, hi, got \(1, 2, 3\)$"):
+            SweepSpec((1, 1), (1, 2, 3))
+
+    @pytest.mark.parametrize("bounds, kind", [([-1, 1], "list"), (None, "NoneType"), (range(-1, 2), "range")])
+    def test_range_not_a_tuple_refused(self, bounds, kind):
+        with pytest.raises(SweepError, match=f"^coefficient range must be a tuple, got {kind}$"):
             SweepSpec((1, 1), bounds)
 
     @pytest.mark.parametrize("cap", [1e6, True])
@@ -198,7 +206,8 @@ class TestCharyCompare:
         (3, ("-1", "1"), "range ends must be integers"),
         (3, (1, -1), "empty coefficient range 1:-1"),
         (3, (0,), r"coefficient range must be a pair lo, hi, got \(0,\)"),
-    ], ids=["float-r", "unprintable-r", "float-end", "str-ends", "empty", "not-a-pair"])
+        (3, [-1, 1], "^coefficient range must be a tuple, got list$"),
+    ], ids=["float-r", "unprintable-r", "float-end", "str-ends", "empty", "not-a-pair", "list-range"])
     def test_arguments_checked_as_a_sweep_spec(self, r, beta_range, message):
         with pytest.raises(SweepError, match=message):
             chary_compare(r, beta_range)

@@ -307,7 +307,7 @@ class TestFirstNonUnimodular:
 
     def test_cone_order_and_type_do_not_change_the_result(self):
         # random cone systems in their sorted form, then with each cone's indices shuffled
-        # (as lists), reversed, and with one cone naming a ray twice
+        # (as lists), reversed, and with one cone naming a ray twice (a list among tuples)
         rng = random.Random(1912)
         entries = (0, 0, 0, 1, 1, -1, -1, 2, -2)
         unimodular = repeated = 0
@@ -328,8 +328,7 @@ class TestFirstNonUnimodular:
                 if len(set(twice)) < n:
                     repeated += 1
                     at = rng.randint(0, len(good))
-                    # a tuple, as the other cones are: the cones are compared, not converted
-                    for cone in (tuple(twice), tuple(sorted(twice))):
+                    for cone in (twice, sorted(twice)):
                         assert first_non_unimodular(rays, good[:at] + [cone] + good[at:]) == at
         assert unimodular > 1000 and repeated > 100
 
