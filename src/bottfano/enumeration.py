@@ -18,11 +18,11 @@ accepts instead of testing candidates against it.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .lattice import shown
 from .tower import Verdict
 
 DEFAULT_CAP = 10**6
@@ -68,19 +68,6 @@ class SweepError(ValueError):
     """Invalid sweep parameters or candidate cap exceeded."""
 
 
-def shown(value: int, short: str | None = None) -> str:
-    """A refusal's text for the int ``value``: its decimal digits where
-    ``str`` prints them, as it does up to 4,300 digits unless
-    PYTHONINTMAXSTRDIGITS lowers that limit, to as few as 640; past a limit
-    of L digits, ``short``, a true short form of it, or the bound "over
-    10^(L - 1)", "below -10^(L - 1)" for a negative ``value``."""
-    try:
-        return str(value)
-    except ValueError:
-        bound = f"10^{sys.get_int_max_str_digits() - 1}"
-        return short or (f"over {bound}" if value > 0 else f"below -{bound}")
-
-
 def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     """Check the range, a tuple of two int ends, and the cap, a positive
     int, then refuse a sweep of ``nslots`` slots over ``coeff_range`` whose
@@ -91,7 +78,7 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     if type(coeff_range) is not tuple:
         raise SweepError(f"coefficient range must be a tuple, got {type(coeff_range).__name__}")
     if len(coeff_range) != 2:
-        raise SweepError(f"coefficient range must be a pair lo, hi, got {coeff_range!r}")
+        raise SweepError(f"coefficient range must be a pair lo, hi, got {shown(coeff_range)}")
     lo, hi = coeff_range
     if type(lo) is not int or type(hi) is not int:
         raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
@@ -137,9 +124,9 @@ class SweepSpec:
         if type(dims) is not tuple:
             raise SweepError(f"stage dimensions must be a tuple, got {type(dims).__name__}")
         if not dims or not all(type(n) is int and n >= 1 for n in dims):
-            raise SweepError(f"stage dimensions must be positive integers, got {dims!r}")
+            raise SweepError(f"stage dimensions must be positive integers, got {shown(dims)}")
         if self.mode not in SWEEP_MODES:
-            raise SweepError(f"unknown mode {self.mode!r}; expected one of {SWEEP_MODES}")
+            raise SweepError(f"unknown mode {shown(self.mode)}; expected one of {SWEEP_MODES}")
         nslots = sum((j - 1) * n for j, n in enumerate(dims, start=1))
         _check_extent(self.coeff_range, self.cap, nslots)
 
@@ -377,8 +364,7 @@ def chary_compare(r: int, beta_range: tuple[int, int], cap: int = DEFAULT_CAP) -
     are generated row by row (see ``_chary_matrices``).  The work grows
     with those two sets, not with the candidate count."""
     if type(r) is not int or r < 2:
-        got = shown(r) if type(r) is int else repr(r)
-        raise SweepError(f"chary_compare requires an integer r >= 2, got {got}")
+        raise SweepError(f"chary_compare requires an integer r >= 2, got {shown(r)}")
     # refuse by size before the r-tuple of stages is built
     lo, hi = _check_extent(beta_range, cap, r * (r - 1) // 2)
     dims = (1,) * r

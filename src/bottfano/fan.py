@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .enumeration import PRINTABLE_BITS, shown
-from .lattice import IntVec, mu
+from .enumeration import PRINTABLE_BITS
+from .lattice import IntVec, mu, shown
 from .oracle import Fan, FanError, PrimitiveCollectionData, RayLabel, _cone_coordinates
 # perfbench/tracing.py (SPANNED["fan"]) looks up these four traced oracle functions here
 from .oracle import (batyrev_classify, primitive_collections_bruteforce, primitive_relation,

@@ -2,15 +2,19 @@
 ``_next_rows``, by Euclid row steps.  It serves the determinant, the cone
 solves of the fan oracle (``oracle._cone_coordinates``), and a unimodularity
 test that eliminates the matrix of all the rays once, sharing each cone
-prefix's work among the cones.
+prefix's work among the cones and deciding each cone's last three rays by
+one 3 x 3 determinant.
 
 Vectors are tuples of Python ints and matrices are sequences of
 equal-length integer rows.  Python ints are arbitrary precision, so all
-arithmetic here is exact and overflow-free.
+arithmetic here is exact and overflow-free.  The module also holds
+``shown``, the text a refusal gives for a value, since every module that
+refuses a value can import from here.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -19,6 +23,24 @@ IntMat = Sequence[Sequence[int]]
 
 class LatticeError(ValueError):
     """Malformed input to a lattice operation."""
+
+
+def shown(value, short: str | None = None) -> str:
+    """A refusal's text for ``value``: its ``repr`` where that prints, as it
+    does for an int of up to 4,300 digits unless PYTHONINTMAXSTRDIGITS
+    lowers that limit, to as few as 640.  Past a limit of L digits, an int
+    is shown as ``short``, a true short form of it, or the bound "over
+    10^(L - 1)", "below -10^(L - 1)" for a negative ``value``; any other
+    value, such as a tuple that holds such an int, as "a tuple holding an
+    int of over L digits", after its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an int of over {limit} digits"
+        bound = f"10^{limit - 1}"
+        return short or (f"over {bound}" if value > 0 else f"below -{bound}")
 
 
 def mu(x: Sequence[int]) -> int:
@@ -102,17 +124,18 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     columns are the rays serves all the cones, taken in the order of their
     index tuples or lists as given, and where both come, tuples first,
     since a tuple and a list do not compare (a cone's order of rays does
-    not change whether they form a basis).  A stack holds, for k = 0, 1, ..., n-2, the rows
-    k..n-1 of T_k V, where the integer unimodular row transform T_k (T_0 =
-    I) brings the first k rays of the current cone to unit upper-triangular
-    form; no later step reads rows 0..k-1.  A cone pops the stack back to
-    its common prefix with the previous cone and eliminates only its new
-    rays: a ray's y is its column of the top entry, and ``_next_rows`` on
-    it gives the next entry; the first k rays form part of a basis iff
-    every such y has gcd 1.  The last two rays need no elimination: the
-    cone is unimodular iff the 2 x 2 determinant of their columns in the
-    two rows left is +-1 (for n = 1, the one entry of the one ray).  A
-    cone fails at its first column whose gcd, or at a tail determinant,
+    not change whether they form a basis).  A stack holds, for k = 0, 1,
+    ..., n-3, the rows k..n-1 of T_k V, where the integer unimodular row
+    transform T_k (T_0 = I) brings the first k rays of the current cone to
+    unit upper-triangular form; no later step reads rows 0..k-1.  A cone
+    pops the stack back to its common prefix with the previous cone and
+    eliminates only its new rays: a ray's y is its column of the top entry,
+    and ``_next_rows`` on it gives the next entry; the first k rays form
+    part of a basis iff every such y has gcd 1.  The last three rays need
+    no elimination: the cone is unimodular iff the 3 x 3 determinant of
+    their columns in the three rows left is +-1 (for n = 2, the 2 x 2
+    determinant of the two rays; for n = 1, the one entry of the one ray).
+    A cone fails at its first column whose gcd, or at a tail determinant,
     that is not +-1.
     """
     order = sorted(range(len(cones)), key=cones.__getitem__ if len({*map(type, cones)}) < 2
@@ -134,7 +157,7 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
         while k < top and cone[k] == prev[k]:
             k += 1
         del stack[k + 1:]
-        while k < n - 2:
+        while k < n - 3:
             rows = list(stack[k])
             r = cone[k]
             p, g = _next_rows(rows, [row[r] for row in rows])
@@ -146,10 +169,15 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
         else:
             if n == 1:
                 d = stack[0][0][cone[0]]
-            else:
+            elif n == 2:
                 s0, s1 = stack[k]
                 a, b = cone[k], cone[k + 1]
                 d = s0[a] * s1[b] - s1[a] * s0[b]
+            else:
+                s0, s1, s2 = stack[k]
+                x, y, z = cone[k], cone[k + 1], cone[k + 2]
+                d = (s0[x] * (s1[y] * s2[z] - s2[y] * s1[z]) - s1[x] * (s0[y] * s2[z] - s2[y] * s0[z])
+                     + s2[x] * (s0[y] * s1[z] - s1[y] * s0[z]))
             if d == 1 or d == -1:
                 k = n
         if k < n and (bad is None or c < bad):

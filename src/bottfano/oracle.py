@@ -140,7 +140,7 @@ def validate_smooth_complete(f: Fan) -> None:
     the wrong number of rays or is not unimodular), then facets (in the
     order they first appear).  Unimodularity comes from one exact integer
     elimination of the ray matrix shared by all the cones, each decided by
-    a 2 x 2 determinant at the end, ``lattice.first_non_unimodular``;
+    a 3 x 3 determinant at the end, ``lattice.first_non_unimodular``;
     facets are counted as ``Fan.cone_masks`` entries with one ray cleared,
     one dict entry per facet.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
-from .lattice import IntVec, mu, nu
+from .lattice import IntVec, mu, nu, shown
 
 
 class TowerError(ValueError):
@@ -131,7 +131,7 @@ def validate(t: GeneralizedBottTower) -> None:
                 f"stage dimension n_{j} must be a positive integer, got {n!r} (stages[j={j}])"
             )
     if not isinstance(t.coeffs, dict):
-        raise TowerError(f"coefficients must be a dict keyed by (j, l), got {t.coeffs!r}")
+        raise TowerError(f"coefficients must be a dict keyed by (j, l), got {shown(t.coeffs)}")
     for key in t.coeffs:
         if type(key) is not tuple or len(key) != 2 or not all(type(i) is int for i in key):
             raise TowerError(f"coefficient key {key!r} must be a pair of integers (j, l)")

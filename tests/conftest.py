@@ -35,26 +35,23 @@ def fraction_det(m) -> int:
 
 def tail_determinants(rays, cones) -> list[int | None]:
     """Per cone, the value that ``lattice.first_non_unimodular`` tests
-    against +-1: the 2 x 2 determinant of the cone's last two columns in the
-    two rows of the ray matrix that ``_next_rows`` leaves after its first
-    n - 2 rays (for n = 1, the one entry of its ray), or None where one of
-    those rays meets a gcd other than 1.  Each cone is eliminated on its
-    own, with no prefix shared, so the steps are the same as there."""
+    against +-1: the 3 x 3 determinant of the cone's last three columns in
+    the three rows of the ray matrix that ``_next_rows`` leaves after its
+    first n - 3 rays (for n <= 2, the determinant of the cone's own n x n
+    matrix), or None where one of those rays meets a gcd other than 1.
+    Each cone is eliminated on its own, with no prefix shared, so the steps
+    are the same as there; the tail is taken by ``fraction_det``."""
     tails: list[int | None] = []
     for cone in cones:
         rows = list(zip(*rays))
-        for r in cone[:-2]:
+        for r in cone[:-3]:
             p, g = _next_rows(rows, [row[r] for row in rows])
             if g != 1 and g != -1:
                 tails.append(None)
                 break
             del rows[p]
         else:
-            if len(cone) == 1:
-                tails.append(rows[0][cone[0]])
-            else:
-                (s0, s1), (a, b) = rows, cone[-2:]
-                tails.append(s0[a] * s1[b] - s1[a] * s0[b])
+            tails.append(fraction_det([[row[i] for i in cone[-3:]] for row in rows]))
     return tails
 
 

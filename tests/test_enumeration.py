@@ -155,6 +155,21 @@ class TestSweep:
             chary_compare(3, (0, -10**5000))
         assert str(excinfo.value) == f"empty coefficient range 0:below -{bound}"
 
+    @pytest.mark.parametrize("stage_dims, bounds, mode, message", [
+        ((-10**5000,), (-1, 1), "census",
+         "stage dimensions must be positive integers, got a tuple holding an int of over {L} digits"),
+        ((1, 1), (10**5000, 0, 1), "census",
+         "coefficient range must be a pair lo, hi, got a tuple holding an int of over {L} digits"),
+        ((1, 1), (-1, 1), 10**5000,
+         "unknown mode over 10^{L1}; expected one of ('fano', 'weak_fano', 'census')"),
+    ], ids=["stage", "range", "mode"])
+    def test_unprintable_refusal_value_shown_in_short(self, stage_dims, bounds, mode, message):
+        # each value holds 10^5000, of 5,001 digits, which neither str nor repr prints
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SweepError) as excinfo:
+            SweepSpec(stage_dims, bounds, mode=mode)
+        assert str(excinfo.value) == message.format(L=limit, L1=limit - 1)
+
     def test_slot_count_refused_on_a_single_candidate(self):
         # 100 line stages have 4,950 slots and, over 0:0, one candidate
         with pytest.raises(SweepError, match="^4950 coefficient slots exceed cap 4949;"):

@@ -228,11 +228,13 @@ class TestFirstNonUnimodular:
             first_non_unimodular([(1, 0), (0, 1, 0)], [(0, 1)])
 
     def test_matches_per_cone_fraction_det(self):
-        # few rays in few dimensions, so cones share prefixes and the stack is reused
+        # few rays in few dimensions, so cones share prefixes and the stack is reused; up to
+        # n = 3 a cone is decided by its tail alone, and from n = 4 it reaches the tail after
+        # steps
         rng = random.Random(1811)
         entries = (0, 0, 0, 1, 1, -1, -1, 2, -2, 3, 5)
         for _ in range(1500):
-            n = rng.randint(1, 5)
+            n = rng.randint(1, 7)
             rays = [tuple(rng.choice(entries) for _ in range(n))
                     for _ in range(rng.randint(n, n + 4))]
             cones = [tuple(rng.sample(range(len(rays)), n)) for _ in range(rng.randint(1, 16))]
@@ -263,26 +265,51 @@ class TestFirstNonUnimodular:
         next_rows = lattice._next_rows
         monkeypatch.setattr(lattice, "_next_rows", counting)
         # the all-zero (1,)^12 fan: 4,096 cones of 12 rays, one step per distinct prefix of
-        # 1 to 10 rays, where a determinant per cone would take 49,152; no step eliminates an
-        # 11th ray, so each of the 4,096 cones, all unimodular, is passed by its 2 x 2 tail
+        # 1 to 9 rays, where a determinant per cone would take 49,152; no step eliminates a
+        # 10th ray, so each of the 4,096 cones, all unimodular, is passed by its 3 x 3 tail
         t = make_tower((1,) * 12, {(j, l): (0,) for j in range(2, 13) for l in range(1, j)})
         f = build_fan(t)
         assert first_non_unimodular(f.rays, f.max_cones) is None
         prefixes = {c[:k] for c in f.max_cones for k in range(1, f.dim + 1)}
-        assert steps == sum(len(p) <= f.dim - 2 for p in prefixes) == 2046
+        assert steps == sum(len(p) <= f.dim - 3 for p in prefixes) == 1022
         tails = tail_determinants(f.rays, f.max_cones)
         assert tails.count(1) == tails.count(-1) == len(f.max_cones) // 2 == 2048
 
     @pytest.mark.parametrize("last_dot, bad", [(0, 1), (2, 1), (-2, 1), (-1, None)],
                              ids=["dot-0", "dot-2", "dot-minus-2", "dot-minus-1"])
     def test_last_ray_is_checked_by_its_dot(self, last_dot, bad):
-        # the first ray of each cone pivots on +-1 and leaves the rows (0, 1, 0, -last_dot)
-        # and (0, 1, 1, 0) of the ray matrix, so the second cone's tail of rays 1 and 3 has
-        # determinant last_dot, the dot of (last_dot, 0, 0) with the normal (1, -1, 1) of
-        # rays 0 and 1
+        # three rays are decided by their 3 x 3 tail alone: the second cone's has determinant
+        # last_dot, the dot of (last_dot, 0, 0) with the normal (1, -1, 1) of rays 0 and 1
         rays = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (last_dot, 0, 0)]
         assert first_non_unimodular(rays, [(0, 1, 2), (0, 1, 3)]) == bad
         assert first_non_unimodular(rays, [(0, 1, 3), (0, 1, 2)]) == (None if bad is None else 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    @pytest.mark.parametrize("tail", [2, 0], ids=["det-2", "det-0"])
+    def test_only_the_tail_fails(self, monkeypatch, n, tail):
+        # e_1, ..., e_n, then three rays that add s = e_1 + ... + e_(n-3) to the columns
+        # (1, 0, 1), (0, 1, 0) and (0, 1, tail) in the last three coordinates: each cone's
+        # first n - 3 rays are e_1, ..., e_(n-3) and pivot on +1, and only the cone of the three
+        # fails, by its tail determinant
+        gs = []
+
+        def recording(rows, y):
+            p, g = next_rows(rows, y)
+            gs.append(g)
+            return p, g
+
+        next_rows = lattice._next_rows
+        monkeypatch.setattr(lattice, "_next_rows", recording)
+        rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        s = (1,) * (n - 3)
+        rays += [s + (1, 0, 1), s + (0, 1, 0), s + (0, 1, tail)]
+        head = tuple(range(n - 3))
+        cones = [tuple(range(n)), head + (n, n + 1, n + 2), head + (n, n + 1, n - 1)]
+        assert [fraction_det([rays[i] for i in cone]) for cone in cones] == [1, tail, 1]
+        # the failing cone comes last in the order of the cones, but has index 1
+        assert first_non_unimodular(rays, cones) == 1
+        assert first_non_unimodular(rays, cones[::2]) is None
+        assert gs == [1] * 2 * (n - 3)
 
     def test_cones_of_no_rays_pass(self):
         assert first_non_unimodular([(), ()], [(), ()]) is None

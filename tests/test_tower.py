@@ -1,4 +1,5 @@
 import re
+import sys
 from itertools import product
 from math import comb
 
@@ -79,6 +80,13 @@ class TestValidate:
     def test_coefficients_not_a_dict_refused(self, coeffs):
         with pytest.raises(TowerError, match=r"^coefficients must be a dict keyed by \(j, l\)"):
             GeneralizedBottTower((1, 1), coeffs)
+
+    def test_coefficients_holding_an_unprintable_int_refused(self):
+        # 10^5000 has 5,001 digits, which neither str nor repr prints
+        with pytest.raises(TowerError) as excinfo:
+            GeneralizedBottTower((1, 1), [10**5000])
+        assert str(excinfo.value) == ("coefficients must be a dict keyed by (j, l), got a list "
+                                      f"holding an int of over {sys.get_int_max_str_digits()} digits")
 
     @pytest.mark.parametrize("dims, kind", [([1, 1], "list"), (3, "int"), (None, "NoneType")])
     def test_stage_dims_not_a_tuple_refused(self, dims, kind):
