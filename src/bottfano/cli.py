@@ -98,7 +98,8 @@ def _relation_to_json(pr: oraclemod.PrimitiveCollectionData) -> dict:
 
 def _emit(report: dict, args, human_lines) -> None:
     if args.format == "machine":
-        print(json.dumps(report, sort_keys=True))
+        # every report is a fresh tree, so no reference cycle need be looked for
+        print(json.dumps(report, sort_keys=True, check_circular=False))
     else:
         for line in human_lines:
             print(line)
@@ -285,9 +286,10 @@ def _chary_lines(result: enumeration.CharyCompareReport):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused: building it costs more
-    than a small ``check``."""
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name, built
+    on first use and reused: building them costs more than a small
+    ``check``."""
     parser = argparse.ArgumentParser(
         prog="bottfano",
         description="Decide whether a generalized Bott manifold is Fano or weak Fano.",
@@ -334,12 +336,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_chary.add_argument("--format", choices=("human", "machine"), default="human")
     p_chary.set_defaults(func=cmd_chary_compare)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it, with the same
+    output and ``SystemExit``.  A call that starts with a command goes
+    straight to that command's parser, which the top-level parser would
+    hand the rest of the arguments to; every other call, and one that
+    leaves arguments over, goes to the top-level parser, so that its usage
+    and error text stay those of the top level."""
+    parser, commands = build_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -81,11 +81,11 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
         raise SweepError(f"coefficient range must be a pair lo, hi, got {shown(coeff_range)}")
     lo, hi = coeff_range
     if type(lo) is not int or type(hi) is not int:
-        raise SweepError(f"coefficient range ends must be integers, got {lo!r}:{hi!r}")
+        raise SweepError(f"coefficient range ends must be integers, got {shown(lo)}:{shown(hi)}")
     if lo > hi:
         raise SweepError(f"empty coefficient range {shown(lo)}:{shown(hi)}")
     if type(cap) is not int:
-        raise SweepError(f"cap must be an integer, got {cap!r}")
+        raise SweepError(f"cap must be an integer, got {shown(cap)}")
     if cap < 1:  # every sweep has a candidate, so no smaller cap admits one
         raise SweepError(f"cap must be a positive integer, got {shown(cap)}")
     if nslots > SLOT_WORK_LIMIT:

@@ -15,6 +15,7 @@ refuses a value can import from here.
 from __future__ import annotations
 
 import sys
+from itertools import groupby
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -126,61 +127,70 @@ def first_non_unimodular(rays: IntMat, cones: Sequence[Sequence[int]]) -> int | 
     since a tuple and a list do not compare (a cone's order of rays does
     not change whether they form a basis).  A stack holds, for k = 0, 1,
     ..., n-3, the rows k..n-1 of T_k V, where the integer unimodular row
-    transform T_k (T_0 = I) brings the first k rays of the current cone to
-    unit upper-triangular form; no later step reads rows 0..k-1.  A cone
-    pops the stack back to its common prefix with the previous cone and
-    eliminates only its new rays: a ray's y is its column of the top entry,
-    and ``_next_rows`` on it gives the next entry; the first k rays form
-    part of a basis iff every such y has gcd 1.  The last three rays need
-    no elimination: the cone is unimodular iff the 3 x 3 determinant of
-    their columns in the three rows left is +-1 (for n = 2, the 2 x 2
-    determinant of the two rays; for n = 1, the one entry of the one ray).
-    A cone fails at its first column whose gcd, or at a tail determinant,
-    that is not +-1.
+    transform T_k (T_0 = I) brings the first k rays of the current prefix
+    to unit upper-triangular form; no later step reads rows 0..k-1.  The
+    cones come in groups that share their first n - 3 indices, the prefix.
+    Each group pops the stack back to the prefix it shares with the group
+    before it and eliminates only its new rays: a ray's y is its column of
+    the top entry, and ``_next_rows`` on it gives the next entry; the
+    prefix's rays form part of a basis iff every such y has gcd 1.  If one
+    does not, every cone of the group fails, and the group's least cone
+    index stands for them.  Otherwise each cone of the group needs no more
+    elimination: it is unimodular iff the 3 x 3 determinant of its last
+    three rays' columns in the three rows left is +-1 (for n = 2, the
+    2 x 2 determinant of the two rays; for n = 1, the one entry of the one
+    ray).
     """
     order = sorted(range(len(cones)), key=cones.__getitem__ if len({*map(type, cones)}) < 2
                    else lambda c: (type(cones[c]) is list, cones[c]))
     if not order:
         return None
     n = len(cones[order[0]])
-    if {len(cone) for cone in cones} | {len(ray) for ray in rays} != {n}:
+    if {*map(len, cones), *map(len, rays)} != {n}:
         raise LatticeError(f"first_non_unimodular: every cone and ray needs {n} entries")
     if n == 0:
         return None
+    m = max(n - 3, 0)
     stack = [list(zip(*rays))]
-    prev: tuple[int, ...] = ()
-    bad = None
-    for c in order:
-        cone = cones[c]
+    prev: Sequence[int] = ()
+    bad = len(cones)
+    for prefix, group in groupby(order, key=lambda c: cones[c][:m]):
         k = 0
         top = len(stack) - 1
-        while k < top and cone[k] == prev[k]:
+        while k < top and prefix[k] == prev[k]:
             k += 1
         del stack[k + 1:]
-        while k < n - 3:
+        while k < m:
             rows = list(stack[k])
-            r = cone[k]
+            r = prefix[k]
             p, g = _next_rows(rows, [row[r] for row in rows])
             if g != 1 and g != -1:
                 break
             del rows[p]
             stack.append(rows)
             k += 1
-        else:
-            if n == 1:
-                d = stack[0][0][cone[0]]
-            elif n == 2:
-                s0, s1 = stack[k]
-                a, b = cone[k], cone[k + 1]
-                d = s0[a] * s1[b] - s1[a] * s0[b]
-            else:
-                s0, s1, s2 = stack[k]
-                x, y, z = cone[k], cone[k + 1], cone[k + 2]
+        prev = prefix
+        if k < m:
+            bad = min(bad, *group)
+        elif n >= 3:
+            s0, s1, s2 = stack[m]
+            for c in group:
+                x, y, z = cones[c][m:]
                 d = (s0[x] * (s1[y] * s2[z] - s2[y] * s1[z]) - s1[x] * (s0[y] * s2[z] - s2[y] * s0[z])
                      + s2[x] * (s0[y] * s1[z] - s1[y] * s0[z]))
-            if d == 1 or d == -1:
-                k = n
-        if k < n and (bad is None or c < bad):
-            bad = c
-        prev = cone
-    return bad
+                if d != 1 and d != -1 and c < bad:
+                    bad = c
+        elif n == 2:
+            s0, s1 = stack[0]
+            for c in group:
+                a, b = cones[c]
+                d = s0[a] * s1[b] - s1[a] * s0[b]
+                if d != 1 and d != -1 and c < bad:
+                    bad = c
+        else:
+            s0, = stack[0]
+            for c in group:
+                d = s0[cones[c][0]]
+                if d != 1 and d != -1 and c < bad:
+                    bad = c
+    return bad if bad < len(cones) else None

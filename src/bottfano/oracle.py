@@ -6,9 +6,9 @@ fan, ``primitive_collections`` finds the minimal non-faces (against the
 subset scan ``primitive_collections_bruteforce``), ``primitive_relation``
 walks the cones to each one's relation, and ``batyrev_classify`` reads the
 verdict off their degrees.  Nothing here reads the stage structure of a
-tower: from the package this module imports only the exact elimination of
-``lattice`` and the verdict types of ``tower``, so it checks the closed
-form independently.
+tower: from the package this module imports only the exact elimination
+of ``lattice``, with its refusal text ``shown``, and the verdict types of
+``tower``, so it checks the closed form independently.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .lattice import IntVec, _next_rows, first_non_unimodular
+from .lattice import IntVec, _next_rows, first_non_unimodular, shown
 from .tower import Classification, Verdict
 
 RayLabel = tuple[int, int]
@@ -51,6 +51,9 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for name, value in (("rays", self.rays), ("labels", self.labels), ("max_cones", self.max_cones)):
+            if type(value) is not tuple:
+                raise FanError(f"{name} must be a tuple, got {type(value).__name__}")
         if len(self.labels) != len(self.rays):
             raise FanError(f"{len(self.labels)} labels for {len(self.rays)} rays")
         self.index = {}
@@ -59,33 +62,33 @@ class Fan:
             # validator hash them
             if (type(lab) is not tuple or len(lab) != 2
                     or type(lab[0]) is not int or type(lab[1]) is not int):
-                raise FanError(f"ray {i} has label {lab!r}, not a pair of ints")
+                raise FanError(f"ray {i} has label {shown(lab)}, not a pair of ints")
             if type(ray) is not tuple:
-                raise FanError(f"ray {lab} is {ray!r}, not a tuple")
+                raise FanError(f"ray {shown(lab)} is {shown(ray)}, not a tuple")
             if len(ray) != self.dim:
-                raise FanError(f"ray {lab} has {len(ray)} entries, expected dim {self.dim}")
+                raise FanError(f"ray {shown(lab)} has {len(ray)} entries, expected dim {shown(self.dim)}")
             for e in ray:
                 if type(e) is not int:
-                    raise FanError(f"ray {lab} has entry {e!r}, not an int")
+                    raise FanError(f"ray {shown(lab)} has entry {shown(e)}, not an int")
             if self.index.setdefault(lab, i) != i:
-                raise FanError(f"label {lab} names rays {self.index[lab]} and {i}")
+                raise FanError(f"label {shown(lab)} names rays {self.index[lab]} and {i}")
         nrays = len(self.rays)
         bits = [1 << i for i in range(nrays)]
         self.cone_masks = []
         for c, cone in enumerate(self.max_cones):
             if type(cone) is not tuple:
-                raise FanError(f"maximal cone #{c} is {cone!r}, not a tuple")
+                raise FanError(f"maximal cone #{c} is {shown(cone)}, not a tuple")
             mask = 0
             for i in cone:
                 # exactly int: 1.0 and True would pass the range test as ray 1
                 if type(i) is not int:
-                    raise FanError(f"maximal cone #{c} names ray index {i!r}, not an int")
+                    raise FanError(f"maximal cone #{c} names ray index {shown(i)}, not an int")
                 # an index outside the rays leaves mask at -1 for good; it is refused only
                 # once every index of the cone is known to be an int
                 mask |= bits[i] if 0 <= i < nrays else -1
             if mask < 0:
                 raise FanError(
-                    f"maximal cone #{c} {sorted(cone)} names a ray outside 0..{nrays - 1}"
+                    f"maximal cone #{c} {shown(sorted(cone))} names a ray outside 0..{nrays - 1}"
                 )
             self.cone_masks.append(mask)
 

@@ -95,13 +95,13 @@ class BottMatrix:
         try:
             self.beta = tuple(tuple(row) for row in self.beta)
         except TypeError:
-            raise TowerError(f"a Bott matrix must be a sequence of rows, got {self.beta!r}") from None
+            raise TowerError(f"a Bott matrix must be a sequence of rows, got {shown(self.beta)}") from None
         r = len(self.beta)
         for i, row in enumerate(self.beta):
             if len(row) != r:
                 raise TowerError(f"row {i + 1} has length {len(row)}, expected {r}")
             if any(type(e) is not int for e in row):
-                raise TowerError(f"row {i + 1} must hold integers, got {row!r}")
+                raise TowerError(f"row {i + 1} must hold integers, got {shown(row)}")
             if row[i] != 1:
                 raise TowerError(f"diagonal entry ({i + 1},{i + 1}) must be 1")
             for j in range(i):
@@ -128,18 +128,18 @@ def validate(t: GeneralizedBottTower) -> None:
     for j, n in enumerate(dims, start=1):
         if type(n) is not int or n < 1:
             raise TowerError(
-                f"stage dimension n_{j} must be a positive integer, got {n!r} (stages[j={j}])"
+                f"stage dimension n_{j} must be a positive integer, got {shown(n)} (stages[j={j}])"
             )
     if not isinstance(t.coeffs, dict):
         raise TowerError(f"coefficients must be a dict keyed by (j, l), got {shown(t.coeffs)}")
     for key in t.coeffs:
         if type(key) is not tuple or len(key) != 2 or not all(type(i) is int for i in key):
-            raise TowerError(f"coefficient key {key!r} must be a pair of integers (j, l)")
+            raise TowerError(f"coefficient key {shown(key)} must be a pair of integers (j, l)")
     expected = {(j, l) for j in range(2, m + 1) for l in range(1, j)}
     for j, l in sorted(expected - t.coeffs.keys()):
         raise TowerError(f"missing coefficient vector a[{j},{l}]")
     for j, l in sorted(t.coeffs.keys() - expected):
-        raise TowerError(f"unexpected coefficient vector a[{j},{l}]")
+        raise TowerError(f"unexpected coefficient vector a[{shown(j)},{shown(l)}]")
     for (j, l), vec in sorted(t.coeffs.items()):
         if type(vec) is not tuple:
             raise TowerError(f"coefficient vector a[{j},{l}] (coefficients[j={j}][l={l}]) must be "
@@ -152,7 +152,7 @@ def validate(t: GeneralizedBottTower) -> None:
             )
         for k, c in enumerate(vec, start=1):
             if type(c) is not int:
-                raise TowerError(f"coefficients[j={j}][l={l}][k={k}] must be an integer, got {c!r}")
+                raise TowerError(f"coefficients[j={j}][l={l}][k={k}] must be an integer, got {shown(c)}")
 
 
 #: Largest sum over stages j of n_j * C(j-1, 2), the most vector entries ``compute_b`` can

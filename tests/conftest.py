@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,3 +141,13 @@ def random_tower(rng: random.Random, max_stages=4, max_dim=3, coeff_bound=2):
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture(params=[None, 640], ids=["limit-in-force", "limit-640"])
+def int_limit(request):
+    """The int-to-str limit in force, then the lowest one, 640 digits, until
+    the test ends; gives the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param or limit)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)

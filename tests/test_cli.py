@@ -856,3 +856,53 @@ class TestLowestIntLimit:
         code, out, err = run(capsys, *command)
         assert (code, out) == (2, "")
         assert err == f"error: fan refused: over 10^639 cones exceed limit {FAN_WORK_LIMIT} on cones*dim^2\n"
+
+
+HIRZEBRUCH = str(FIXTURES / "hirzebruch_a1.json")
+ROUTE_CASES = [
+    [], ["nosuch"], ["nosuch", "--input", HIRZEBRUCH], ["-h"], ["--help"], ["-h", "check"],
+    ["check", "-h"], ["check", "--input", HIRZEBRUCH, "-h"], ["--", "check", "--input", HIRZEBRUCH],
+    ["check", "--input", HIRZEBRUCH], ["check", "--input", HIRZEBRUCH, "--verify"],
+    ["check", "--verify", "--input", HIRZEBRUCH, "--format", "machine"],
+    ["check", "--input=" + HIRZEBRUCH, "--format=human"], ["check", "--inp", HIRZEBRUCH, "--verif"],
+    ["check", "--input", HIRZEBRUCH, "--format", "xml"], ["check", "--input", HIRZEBRUCH, "--format"],
+    ["check", "--input", HIRZEBRUCH, "extra"], ["check", "extra", "--format", "xml"],
+    ["check", "--input", HIRZEBRUCH, "-x"], ["check", "--input", HIRZEBRUCH, "--"],
+    ["check", "--input", HIRZEBRUCH, "--", "extra"], ["check", "--", "--input", HIRZEBRUCH],
+    ["fan", "--input", HIRZEBRUCH], ["fan", "--input", HIRZEBRUCH, "--relations-only"],
+    ["fan", "--input", HIRZEBRUCH, "--format", "machine"], ["fan", "-h"],
+    ["relations", "--input", HIRZEBRUCH], ["relations", "--input", HIRZEBRUCH, "--format", "machine"],
+    ["relations", "--input", HIRZEBRUCH, "--relations-only"],
+    ["enumerate", "--stages", "1,1,1", "--range=-1:1", "--mode", "fano", "--expect-table1"],
+    ["enumerate", "--stages", "1,1", "--range=-1:1", "--cap", "9", "--format", "machine"],
+    ["enumerate", "--stages", "1,1", "--range=-1:1", "--cap", "8"],
+    ["enumerate", "--stages", "1,1", "--range", "-1:1"], ["enumerate", "--range=-1:1"],
+    ["enumerate", "--stages", "1,1", "--range=0:1", "--mode", "all"], ["enumerate", "-h"],
+    ["chary-compare", "--r", "3", "--range=-1:1"],
+    ["chary-compare", "--r", "3", "--range=-1:1", "--cap", "27", "--format", "machine"],
+    ["chary-compare", "--r", "x", "--range=0:0"], ["chary-compare", "--range=0:0"],
+    ["chary-compare", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_CASES, ids=map(" ".join, ROUTE_CASES))
+def test_command_parser_route_agrees_with_the_top_level_parser(capsys, monkeypatch, argv):
+    # argparse's handling of "--" and of abbreviations has changed between Python versions;
+    # whatever it does, a command's own parser must do what the top-level parser does
+    top = cli.build_parsers()[0]
+
+    def parsed(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as e:
+            result = e.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    assert parsed(cli.parse_args) == parsed(top.parse_args)
+    routed = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["bottfano", *argv])
+    assert (main(), *capsys.readouterr()) == routed
+    # no command's parser: every call goes to the top-level parser
+    monkeypatch.setattr(cli, "build_parsers", lambda: (top, {}))
+    assert run(capsys, *argv) == routed

@@ -170,6 +170,15 @@ class TestSweep:
             SweepSpec(stage_dims, bounds, mode=mode)
         assert str(excinfo.value) == message.format(L=limit, L1=limit - 1)
 
+    @pytest.mark.parametrize("bounds, cap, message", [
+        (([10**5000], 1), 10, "coefficient range ends must be integers, got a list holding an int of over {L} digits:1"),
+        ((-1, 1), [10**5000], "cap must be an integer, got a list holding an int of over {L} digits"),
+    ], ids=["range-end", "cap"])
+    def test_unprintable_non_int_shown_by_its_type(self, int_limit, bounds, cap, message):
+        with pytest.raises(SweepError) as excinfo:
+            SweepSpec((1, 1), bounds, cap=cap)
+        assert str(excinfo.value) == message.format(L=int_limit)
+
     def test_slot_count_refused_on_a_single_candidate(self):
         # 100 line stages have 4,950 slots and, over 0:0, one candidate
         with pytest.raises(SweepError, match="^4950 coefficient slots exceed cap 4949;"):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import cached_property
@@ -262,6 +263,40 @@ def test_malformed_fan_refused_when_built(rays, labels, cones, message):
     with pytest.raises(FanError, match=message) as excinfo:
         Fan(dim=2, rays=tuple(rays), labels=tuple(labels), max_cones=tuple(cones))
     assert "\n" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("dim, rays, labels, cones, message", [
+    (10**5000, ((1,),), ((1, 0),), (), "ray (1, 0) has 1 entries, expected dim over 10^{L1}"),
+    (1, ((1,),), ((10**5000, [0]),), (), "ray 0 has label a tuple holding an int of over {L} digits, not a pair of ints"),
+    (1, ((1, 0),), ((10**5000, 0),), (), "ray a tuple holding an int of over {L} digits has 2 entries, expected dim 1"),
+    (1, ([10**5000],), ((0, 0),), (), "ray (0, 0) is a list holding an int of over {L} digits, not a tuple"),
+    (1, (([10**5000],),), ((0, 0),), (), "ray (0, 0) has entry a list holding an int of over {L} digits, not an int"),
+    (1, ((1,), (-1,)), ((10**5000, 0), (10**5000, 0)), (),
+     "label a tuple holding an int of over {L} digits names rays 0 and 1"),
+    (1, ((1,),), ((0, 0),), ([10**5000],), "maximal cone #0 is a list holding an int of over {L} digits, not a tuple"),
+    (1, ((1,),), ((0, 0),), (([10**5000],),),
+     "maximal cone #0 names ray index a list holding an int of over {L} digits, not an int"),
+    (1, ((1,),), ((0, 0),), ((10**5000,),),
+     "maximal cone #0 a list holding an int of over {L} digits names a ray outside 0..0"),
+], ids=["dim", "label", "label-of-a-long-ray", "ray", "ray-entry", "duplicate-label", "cone",
+        "cone-index", "cone-index-past-the-rays"])
+def test_unprintable_refusal_value_shown_in_short(int_limit, dim, rays, labels, cones, message):
+    # each value holds 10^5000, of 5,001 digits, which neither str nor repr prints
+    with pytest.raises(FanError) as excinfo:
+        Fan(dim, rays, labels, cones)
+    assert str(excinfo.value) == message.format(L=int_limit, L1=int_limit - 1)
+
+
+@pytest.mark.parametrize("rays, labels, cones, message", [
+    (5, (), (), "rays must be a tuple, got int"),
+    (((1,),), [(0, 0)], (), "labels must be a tuple, got list"),
+    (((1,),), ((0, 0),), [(0,)], "max_cones must be a tuple, got list"),
+    (None, None, None, "rays must be a tuple, got NoneType"),
+], ids=["int-rays", "list-labels", "list-cones", "none"])
+def test_fan_fields_not_tuples_refused(rays, labels, cones, message):
+    # a list is refused, not converted, as it is for each ray, label and cone
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$"):
+        Fan(1, rays, labels, cones)
 
 
 def test_build_fan_gives_strictly_ascending_int_cones(rng):

@@ -311,6 +311,28 @@ class TestFirstNonUnimodular:
         assert first_non_unimodular(rays, cones[::2]) is None
         assert gs == [1] * 2 * (n - 3)
 
+    def test_a_failed_shared_prefix_fails_its_least_cone(self, monkeypatch):
+        # n = 6: e_1, ..., e_6, then 2 e_2 as ray 6; three cones share the prefix (0, 6, 2),
+        # whose second ray meets gcd 2, and the least of their indices, 1, is the second of
+        # them in sorted order; the prefix is eliminated once for the three
+        gs = []
+
+        def recording(rows, y):
+            p, g = next_rows(rows, y)
+            gs.append(g)
+            return p, g
+
+        next_rows = lattice._next_rows
+        monkeypatch.setattr(lattice, "_next_rows", recording)
+        n = 6
+        rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(0, 2, 0, 0, 0, 0)]
+        cones = [(0, 1, 2, 3, 4, 5), (0, 6, 2, 4, 3, 5), (0, 6, 2, 5, 4, 3), (0, 6, 2, 3, 4, 5)]
+        assert [fraction_det([rays[i] for i in cone]) for cone in cones] == [1, -2, -2, 2]
+        assert sorted(range(4), key=cones.__getitem__) == [0, 3, 1, 2]
+        assert first_non_unimodular(rays, cones) == 1
+        assert gs == [1, 1, 1, 2]
+        assert first_non_unimodular(rays, cones[:1] + cones[2:]) == 1
+
     def test_cones_of_no_rays_pass(self):
         assert first_non_unimodular([(), ()], [(), ()]) is None
         assert first_non_unimodular([], [()]) is None

@@ -5,8 +5,9 @@ Parses ``oracle.py`` and ``lattice.py``.  Every top-level statement of
 definitions of ``lattice.py`` that the oracle uses.  The walk fails on a
 use of the tower side (the tower type, the fan builder, the closed-form
 relations, the b-vectors and nu-sums) or of a tower's stage attributes.
-``oracle.py`` may import from the package only the exact elimination of
-``lattice`` and the verdict types of ``tower``.
+``oracle.py`` may import from the package only the exact elimination and
+the refusal text ``shown`` of ``lattice`` and the verdict types of
+``tower``.
 """
 
 import ast
@@ -17,11 +18,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bottfano"
 
 #: the definitions of ``lattice.py`` that the oracle uses; the rest serve the closed form
-LATTICE_ORACLE = {"first_non_unimodular", "_next_rows"}
+LATTICE_ORACLE = {"first_non_unimodular", "_next_rows", "shown"}
 
 #: every package import ``oracle.py`` may make, as ``package_imports`` lists them
 ORACLE_IMPORTS = [
-    "lattice: IntVec", "lattice: _next_rows", "lattice: first_non_unimodular",
+    "lattice: IntVec", "lattice: _next_rows", "lattice: first_non_unimodular", "lattice: shown",
     "tower: Classification", "tower: Verdict",
 ]
 

@@ -88,6 +88,21 @@ class TestValidate:
         assert str(excinfo.value) == ("coefficients must be a dict keyed by (j, l), got a list "
                                       f"holding an int of over {sys.get_int_max_str_digits()} digits")
 
+    @pytest.mark.parametrize("dims, coeffs, message", [
+        ((-10**5000,), {},
+         "stage dimension n_1 must be a positive integer, got below -10^{L1} (stages[j=1])"),
+        ((1, 1), {(2, 1): (0,), (10**5000, 1): (0,)}, "unexpected coefficient vector a[over 10^{L1},1]"),
+        ((1, 1), {(2, 1): ([10**5000],)},
+         "coefficients[j=2][l=1][k=1] must be an integer, got a list holding an int of over {L} digits"),
+        ((1, 1), {(2, 1): (0,), (10**5000, "1"): (0,)},
+         "coefficient key a tuple holding an int of over {L} digits must be a pair of integers (j, l)"),
+    ], ids=["stage", "unexpected-vector", "entry", "key"])
+    def test_unprintable_refusal_value_shown_in_short(self, int_limit, dims, coeffs, message):
+        # each value holds 10^5000, of 5,001 digits, which neither str nor repr prints
+        with pytest.raises(TowerError) as excinfo:
+            GeneralizedBottTower(dims, coeffs)
+        assert str(excinfo.value) == message.format(L=int_limit, L1=int_limit - 1)
+
     @pytest.mark.parametrize("dims, kind", [([1, 1], "list"), (3, "int"), (None, "NoneType")])
     def test_stage_dims_not_a_tuple_refused(self, dims, kind):
         with pytest.raises(TowerError, match=f"^stage dimensions must be a tuple, got {kind}$"):
@@ -312,6 +327,15 @@ class TestBottMatrix:
         # ((1, 0.9), (0, 1)) used to become the identity
         with pytest.raises(TowerError, match="row 1 must hold integers"):
             BottMatrix((row, (0, 1)))
+
+    @pytest.mark.parametrize("beta, message", [
+        ((10**5000,), "a Bott matrix must be a sequence of rows, got a tuple holding an int of over {L} digits"),
+        (((1, [10**5000]), (0, 1)), "row 1 must hold integers, got a tuple holding an int of over {L} digits"),
+    ], ids=["rows", "entry"])
+    def test_unprintable_refusal_value_shown_in_short(self, int_limit, beta, message):
+        with pytest.raises(TowerError) as excinfo:
+            BottMatrix(beta)
+        assert str(excinfo.value) == message.format(L=int_limit)
 
     def test_all_ones_conversion(self):
         b = BottMatrix(((1, 1, 1), (0, 1, 1), (0, 0, 1)))
