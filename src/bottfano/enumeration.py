@@ -19,8 +19,8 @@ accepts instead of testing candidates against it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .lattice import shown
 from .tower import Verdict
@@ -109,15 +109,17 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass
 class SweepSpec:
     """Sweep parameters, checked when built (cap and size too), so any spec can run;
     the stage and range tuples are kept as given, and a list is refused."""
 
-    stage_dims: tuple[int, ...]
-    coeff_range: tuple[int, int]
-    mode: str = "census"
-    cap: int = DEFAULT_CAP
+    def __init__(self, stage_dims: tuple[int, ...], coeff_range: tuple[int, int],
+                 mode: str = "census", cap: int = DEFAULT_CAP):
+        self.stage_dims = stage_dims
+        self.coeff_range = coeff_range
+        self.mode = mode
+        self.cap = cap
+        self.__post_init__()
 
     def __post_init__(self):
         dims = self.stage_dims
@@ -131,19 +133,17 @@ class SweepSpec:
         _check_extent(self.coeff_range, self.cap, nslots)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     total: int
     slots: tuple[tuple[int, int, int], ...]
-    hits: list[tuple[int, ...]] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    hits: list[tuple[int, ...]]
+    counts: dict[str, int]
 
 
-@dataclass
-class CharyCompareReport:
+class CharyCompareReport(NamedTuple):
     total: int
-    chary_not_fano: list[tuple[int, ...]] = field(default_factory=list)
-    fano_not_chary: list[tuple[int, ...]] = field(default_factory=list)
+    chary_not_fano: list[tuple[int, ...]]
+    fano_not_chary: list[tuple[int, ...]]
 
 
 def coefficient_slots(stage_dims) -> tuple[tuple[int, int, int], ...]:

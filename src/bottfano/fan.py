@@ -14,8 +14,8 @@ here exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .enumeration import PRINTABLE_BITS
 from .lattice import IntVec, mu, shown
@@ -32,8 +32,7 @@ from .tower import GeneralizedBottTower
 FAN_WORK_LIMIT = 10**7
 
 
-@dataclass
-class WallData:
+class WallData(NamedTuple):
     """A codimension-one cone and the signed relation among the n+1 rays
     of its two adjacent maximal cones (zero coefficients omitted)."""
 

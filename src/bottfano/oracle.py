@@ -14,11 +14,11 @@ of ``lattice``, with its refusal text ``shown``, and the verdict types of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import IntVec, _next_rows, first_non_unimodular, shown
 from .tower import Classification, Verdict
@@ -32,7 +32,6 @@ class FanError(ValueError):
     """Invalid fan data or a failed fan-level check."""
 
 
-@dataclass
 class Fan:
     """Rays and maximal cones of a fan in Z^n.
 
@@ -42,13 +41,20 @@ class Fan:
     alone: bit i of ``cone_masks[c]``, built with the fan, and bit c of
     ``ray_cones[i]``, built on its first read, are set iff ``max_cones[c]``
     contains ray i.  So a fan that is only validated and printed never
-    builds ``ray_cones``.
+    builds ``ray_cones``.  ``dim`` must be a non-negative int, and is
+    checked before anything else.
     """
 
-    dim: int
-    rays: tuple[IntVec, ...]
-    labels: tuple[RayLabel, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    def __init__(self, dim: int, rays: tuple[IntVec, ...], labels: tuple[RayLabel, ...],
+                 max_cones: tuple[tuple[int, ...], ...]):
+        # exactly int: a float or a bool passes every later check, then breaks the oracle
+        if type(dim) is not int or dim < 0:
+            raise FanError(f"dim must be a non-negative int, got {shown(dim)}")
+        self.dim = dim
+        self.rays = rays
+        self.labels = labels
+        self.max_cones = max_cones
+        self.__post_init__()
 
     def __post_init__(self):
         for name, value in (("rays", self.rays), ("labels", self.labels), ("max_cones", self.max_cones)):
@@ -117,8 +123,7 @@ class Fan:
         return mask
 
 
-@dataclass
-class PrimitiveCollectionData:
+class PrimitiveCollectionData(NamedTuple):
     """A primitive collection and its relation.
 
     ``relation_rhs`` maps ray labels to the positive integer coefficients
@@ -153,10 +158,12 @@ def validate_smooth_complete(f: Fan) -> None:
     seen: dict[IntVec, RayLabel] = {}
     for lab, ray in zip(f.labels, f.rays):
         if ray in seen:
-            raise FanError(f"duplicate ray u[{lab[0]},{lab[1]}] = u[{seen[ray][0]},{seen[ray][1]}]")
+            first = seen[ray]
+            raise FanError(f"duplicate ray u[{shown(lab[0])},{shown(lab[1])}] = "
+                           f"u[{shown(first[0])},{shown(first[1])}]")
         seen[ray] = lab
         if gcd(*ray) != 1:
-            raise FanError(f"ray u[{lab[0]},{lab[1]}] is not primitive")
+            raise FanError(f"ray u[{shown(lab[0])},{shown(lab[1])}] is not primitive")
     cones = f.max_cones
     sized = next((ci for ci, cone in enumerate(cones) if len(cone) != f.dim), len(cones))
     bad = first_non_unimodular(f.rays, cones[:sized])
@@ -170,7 +177,7 @@ def validate_smooth_complete(f: Fan) -> None:
     for key, count in facets.items():
         if count != 2:
             facet = sorted(lab for lab, bit in zip(f.labels, bits) if key & bit)
-            raise FanError(f"facet {facet} lies in {count} maximal cones, expected 2")
+            raise FanError(f"facet {shown(facet)} lies in {count} maximal cones, expected 2")
 
 
 def primitive_collections(f: Fan) -> set[frozenset[RayLabel]]:

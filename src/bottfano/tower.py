@@ -13,9 +13,9 @@ n_p + 1 - sum_q nu(b_{p,q}) is > 0 (resp. >= 0) for every p < m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
+from typing import NamedTuple
 
 from .lattice import IntVec, mu, nu, shown
 
@@ -37,7 +37,11 @@ class Verdict(Enum):
         return cls.FANO if low > 0 else cls.WEAK_FANO_NOT_FANO if low == 0 else cls.NOT_WEAK_FANO
 
 
-@dataclass
+#: The default of ``GeneralizedBottTower``'s ``coeffs``, which stands for a fresh empty dict,
+#: so that an explicit None is still refused.
+_NO_COEFFS = object()
+
+
 class GeneralizedBottTower:
     """Stage dimensions plus the coefficient vectors a_{j,l}.
 
@@ -47,8 +51,12 @@ class GeneralizedBottTower:
     given, not copied, and treated as immutable after that.
     """
 
-    stage_dims: tuple[int, ...]
-    coeffs: dict[tuple[int, int], IntVec] = field(default_factory=dict)
+    def __init__(self, stage_dims: tuple[int, ...],
+                 coeffs: dict[tuple[int, int], IntVec] = _NO_COEFFS):
+        self.stage_dims = stage_dims
+        self.coeffs = {} if coeffs is _NO_COEFFS else coeffs
+        # the checks stay in their own hook, which perfbench/tracing.py wraps to time them
+        self.__post_init__()
 
     def __post_init__(self):
         validate(self)
@@ -65,8 +73,7 @@ class GeneralizedBottTower:
         return self.coeffs[(j, l)]
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     """Tri-state verdict with the witnesses that produced it.
 
     ``nu_sums``, ``thresholds`` and ``b_vectors`` (the b_{p,q} keyed by
@@ -81,7 +88,6 @@ class Classification:
     b_vectors: dict[tuple[int, int], IntVec] | None = None
 
 
-@dataclass
 class BottMatrix:
     """Upper triangular integer matrix with unit diagonal.
 
@@ -89,7 +95,9 @@ class BottMatrix:
     tuples: ``perfbench/workloads.py`` builds it from lists of lists.
     """
 
-    beta: tuple[tuple[int, ...], ...]
+    def __init__(self, beta: tuple[tuple[int, ...], ...]):
+        self.beta = beta
+        self.__post_init__()  # wrapped by perfbench/tracing.py, as for a tower
 
     def __post_init__(self):
         try:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -150,6 +149,16 @@ class TestCheck:
             proc = subprocess.run([sys.executable, "-m", "bottfano.cli", "check", *argv],
                                   input=stdin, env=env, capture_output=True, timeout=60)
             assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # inspect, with ast, dis and tokenize, was a third of the time to import the package
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, bottfano.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_empty_input_path_does_not_read_stdin(self, capsys, monkeypatch):
         # only "-" means stdin, so --input "$DOC" with DOC unset cannot block on a terminal
@@ -368,7 +377,7 @@ class TestExpectationFailure:
 
         def raised(f, pc):
             pr = original(f, pc)
-            return replace(pr, relation_rhs={(1, 0): -1}) if pc == stage(4, 2) else pr
+            return pr._replace(relation_rhs={(1, 0): -1}) if pc == stage(4, 2) else pr
 
         monkeypatch.setattr(oracle, "primitive_relation", raised)
         code, report, err = run_machine(

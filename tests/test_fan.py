@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from dataclasses import replace
 from functools import cached_property
 from itertools import chain, product
 from operator import mul
@@ -110,7 +109,7 @@ class TestValidateSmoothComplete:
         f = build_fan(hirzebruch(0))
         rays = list(f.rays)
         rays[3] = rays[1]
-        corrupted = replace(f, rays=tuple(rays))
+        corrupted = Fan(f.dim, tuple(rays), f.labels, f.max_cones)
         with pytest.raises(FanError, match="duplicate ray"):
             validate_smooth_complete(corrupted)
 
@@ -119,7 +118,7 @@ class TestValidateSmoothComplete:
         rays = list(f.rays)
         rays[1] = (2, 0)
         with pytest.raises(FanError, match="not primitive"):
-            validate_smooth_complete(replace(f, rays=tuple(rays)))
+            validate_smooth_complete(Fan(f.dim, tuple(rays), f.labels, f.max_cones))
 
     @pytest.mark.parametrize("rays, cones, message", [
         ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)],
@@ -152,6 +151,21 @@ class TestValidateSmoothComplete:
         with pytest.raises(FanError) as excinfo:
             validate_smooth_complete(hand_fan(rays, cones))
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("rays, labels, cones, message", [
+        (((1,), (1,)), ((10**5000, 0), (10**5000, 1)), (),
+         "duplicate ray u[over 10^{L1},1] = u[over 10^{L1},0]"),
+        (((2,),), ((10**5000, 0),), (), "ray u[over 10^{L1},0] is not primitive"),
+        (((1, 0), (0, 1)), ((10**5000, 0), (10**5000, 1)), ((0, 1),),
+         "facet a list holding an int of over {L} digits lies in 1 maximal cones, expected 2"),
+        # a label that prints reads as before
+        (((1,), (1,)), ((2, 0), (-3, 1)), (), "duplicate ray u[-3,1] = u[2,0]"),
+    ], ids=["duplicate-ray", "not-primitive", "facet", "printable-duplicate-ray"])
+    def test_unprintable_label_shown_in_short(self, int_limit, rays, labels, cones, message):
+        # 10^5000, of 5,001 digits, passes Fan as a label, and only the validator prints it
+        with pytest.raises(FanError) as excinfo:
+            validate_smooth_complete(Fan(len(rays[0]), rays, labels, cones))
+        assert str(excinfo.value) == message.format(L=int_limit, L1=int_limit - 1)
 
     def test_cones_with_no_unit_entry_pass(self):
         # the cone {(2,3), (3,5)} has determinant 1 and no entry +-1
@@ -278,8 +292,9 @@ def test_malformed_fan_refused_when_built(rays, labels, cones, message):
      "maximal cone #0 names ray index a list holding an int of over {L} digits, not an int"),
     (1, ((1,),), ((0, 0),), ((10**5000,),),
      "maximal cone #0 a list holding an int of over {L} digits names a ray outside 0..0"),
+    (-10**5000, ((1,),), ((1, 0),), (), "dim must be a non-negative int, got below -10^{L1}"),
 ], ids=["dim", "label", "label-of-a-long-ray", "ray", "ray-entry", "duplicate-label", "cone",
-        "cone-index", "cone-index-past-the-rays"])
+        "cone-index", "cone-index-past-the-rays", "negative-dim"])
 def test_unprintable_refusal_value_shown_in_short(int_limit, dim, rays, labels, cones, message):
     # each value holds 10^5000, of 5,001 digits, which neither str nor repr prints
     with pytest.raises(FanError) as excinfo:
@@ -299,6 +314,21 @@ def test_fan_fields_not_tuples_refused(rays, labels, cones, message):
         Fan(1, rays, labels, cones)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, -1, "2", None], ids=["float", "bool", "negative", "str", "none"])
+def test_fan_dim_not_a_non_negative_int_refused(dim):
+    # a float dim of 2.0 passed every check, then broke the oracle with a bare TypeError
+    message = f"^dim must be a non-negative int, got {re.escape(repr(dim))}$"
+    with pytest.raises(FanError, match=message):
+        Fan(dim, ((1, 0), (0, 1), (-1, -1)), ((1, 0), (1, 1), (1, 2)), ((0, 1), (1, 2), (0, 2)))
+    # refused before any other field is looked at
+    with pytest.raises(FanError, match=message):
+        Fan(dim, None, None, None)
+
+
+def test_fan_of_dim_zero_built():
+    assert Fan(0, ((),), ((1, 0),), ((),)).cone_masks == [0]
+
+
 def test_build_fan_gives_strictly_ascending_int_cones(rng):
     for _ in range(30):
         f = build_fan(random_tower(rng))
@@ -310,7 +340,7 @@ def test_fan_keeps_each_given_cone_whatever_the_order_of_its_rays(rng):
     for _ in range(30):
         f = build_fan(random_tower(rng))
         given = tuple(tuple(rng.sample(c, len(c))) for c in f.max_cones)
-        g = replace(f, max_cones=given)
+        g = Fan(f.dim, f.rays, f.labels, given)
         assert g.max_cones is given
         assert g.cone_masks == f.cone_masks and g.ray_cones == f.ray_cones
 
@@ -802,7 +832,7 @@ class TestWallRelation:
         rays = list(f.rays)
         rays[f.index[(1, 2)]] = f.ray((1, 1))
         with pytest.raises(FanError, match="singular"):
-            wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
+            wall_relation(Fan(f.dim, tuple(rays), f.labels, f.max_cones), t, compute_b(t), 1)
 
     def test_cones_on_one_side_raise(self):
         # u_1^0 = u_1^2: tau_1 = {u_1^1} lies in {u_1^1, u_1^2} and {u_1^0, u_1^1},
@@ -812,7 +842,7 @@ class TestWallRelation:
         rays = list(f.rays)
         rays[f.index[(1, 0)]] = f.ray((1, 2))
         with pytest.raises(FanError, match="one side of it: coefficient -1"):
-            wall_relation(replace(f, rays=tuple(rays)), t, compute_b(t), 1)
+            wall_relation(Fan(f.dim, tuple(rays), f.labels, f.max_cones), t, compute_b(t), 1)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_wall_in_one_cone_raises(self, p):
@@ -823,7 +853,7 @@ class TestWallRelation:
         drop = next(c for c, cone in enumerate(f.max_cones) if wall_idx <= set(cone))
         cones = f.max_cones[:drop] + f.max_cones[drop + 1:]
         with pytest.raises(FanError) as excinfo:
-            wall_relation(replace(f, max_cones=cones), t, b, p)
+            wall_relation(Fan(f.dim, f.rays, f.labels, cones), t, b, p)
         assert str(excinfo.value) == f"tau_{p} lies in 1 maximal cones, expected 2"
 
     @pytest.mark.parametrize("p", [0, 3])
@@ -852,7 +882,7 @@ class TestWallRelation:
         f = build_fan(t)
         cones = (tuple(range(3)),) + f.max_cones[1:]
         with pytest.raises(FanError, match="differ by 0 rays"):
-            wall_relation(replace(f, max_cones=cones), t, compute_b(t), 1)
+            wall_relation(Fan(f.dim, f.rays, f.labels, cones), t, compute_b(t), 1)
 
     def test_coincides_with_primitive_relation(self, rng):
         for _ in range(40):

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py``, loaded here from its file, looks each traced name
 up as ``bottfano.<module>.<name>``, wraps ``__post_init__`` of a traced
-dataclass, and rebinds a traced function in every package module that
+class, and rebinds a traced function in every package module that
 holds the same object.  A name dropped from a module, or a function that
 its defining module does not hold, would otherwise show only in a traced
 benchmark run.
@@ -42,3 +42,18 @@ def test_traced_name_resolves(module, name):
         assert "__post_init__" in traced.__dict__
     else:
         assert getattr(sys.modules[traced.__module__], traced.__name__) is traced
+
+
+def test_traced_class_hooks_run_when_built():
+    # a class that kept __post_init__ but stopped calling it would leave its wrapped hook unrun
+    from bottfano.tower import BottMatrix, GeneralizedBottTower
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        GeneralizedBottTower((1, 1), {(2, 1): (0,)})
+        BottMatrix(((1, 0), (0, 1)))
+    finally:
+        tracer.uninstall()
+    _, calls, _ = tracer.summarize(0, tracer.span_count())
+    assert calls == {"tower.GeneralizedBottTower": 1, "tower.validate": 1, "tower.BottMatrix": 1}
