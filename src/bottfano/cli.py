@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 
@@ -97,12 +98,18 @@ def _relation_to_json(pr: oraclemod.PrimitiveCollectionData) -> dict:
 
 
 def _emit(report: dict, args, human_lines) -> None:
-    if args.format == "machine":
-        # every report is a fresh tree, so no reference cycle need be looked for
-        print(json.dumps(report, sort_keys=True, check_circular=False))
-    else:
-        for line in human_lines:
-            print(line)
+    try:
+        if args.format == "machine":
+            # every report is a fresh tree, so no reference cycle need be looked for
+            print(json.dumps(report, sort_keys=True, check_circular=False))
+        else:
+            for line in human_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as under `| head -1`: what is left goes to os.devnull, so the
+        # flush at exit cannot fail again (the SIGPIPE note of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _require_printable(numbers) -> None:

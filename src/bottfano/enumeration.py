@@ -119,18 +119,14 @@ class SweepSpec:
         self.coeff_range = coeff_range
         self.mode = mode
         self.cap = cap
-        self.__post_init__()
-
-    def __post_init__(self):
-        dims = self.stage_dims
-        if type(dims) is not tuple:
-            raise SweepError(f"stage dimensions must be a tuple, got {type(dims).__name__}")
-        if not dims or not all(type(n) is int and n >= 1 for n in dims):
-            raise SweepError(f"stage dimensions must be positive integers, got {shown(dims)}")
-        if self.mode not in SWEEP_MODES:
-            raise SweepError(f"unknown mode {shown(self.mode)}; expected one of {SWEEP_MODES}")
-        nslots = sum((j - 1) * n for j, n in enumerate(dims, start=1))
-        _check_extent(self.coeff_range, self.cap, nslots)
+        if type(stage_dims) is not tuple:
+            raise SweepError(f"stage dimensions must be a tuple, got {type(stage_dims).__name__}")
+        if not stage_dims or not all(type(n) is int and n >= 1 for n in stage_dims):
+            raise SweepError(f"stage dimensions must be positive integers, got {shown(stage_dims)}")
+        if mode not in SWEEP_MODES:
+            raise SweepError(f"unknown mode {shown(mode)}; expected one of {SWEEP_MODES}")
+        nslots = sum((j - 1) * n for j, n in enumerate(stage_dims, start=1))
+        _check_extent(coeff_range, cap, nslots)
 
 
 class SweepReport(NamedTuple):

@@ -114,6 +114,15 @@ def build_fan(t: GeneralizedBottTower) -> Fan:
     )
 
 
+def _check_stage(m: int, p: int) -> None:
+    """Refuse a stage index ``p`` that is not an int in 1..m."""
+    # exactly int: True passes the range test as stage 1, and 1.5 breaks range() later
+    if type(p) is not int:
+        raise FanError(f"stage index {shown(p)} is not an int")
+    if not 1 <= p <= m:
+        raise FanError(f"stage index {shown(p)} out of range 1..{m}")
+
+
 def collection_for_stage(t: GeneralizedBottTower, p: int) -> frozenset[RayLabel]:
     """The stage-p collection {u_p^0, ..., u_p^{n_p}}."""
     return frozenset((p, k) for k in range(0, t.stage_dims[p - 1] + 1))
@@ -132,8 +141,7 @@ def expected_primitive_relation(
     and the degree is n_m + 1.
     """
     m = t.num_stages
-    if not 1 <= p <= m:
-        raise FanError(f"stage index {p} out of range 1..{m}")
+    _check_stage(m, p)
     rhs: dict[RayLabel, int] = {}
     for q in range(1, m - p + 1):
         bpq = b[(p, q)]
@@ -173,8 +181,7 @@ def wall_relation(
     cones lie on opposite sides of it), before it is returned.
     """
     m = t.num_stages
-    if not 1 <= p <= m:
-        raise FanError(f"stage index {p} out of range 1..{m}")
+    _check_stage(m, p)
     wall = [(l, k) for l in range(1, p) for k in range(1, t.stage_dims[l - 1] + 1)]
     wall += [(p, k) for k in range(1, t.stage_dims[p - 1])]
     for q in range(1, m - p + 1):
@@ -183,7 +190,7 @@ def wall_relation(
         wall += [(p + q, k) for k in range(len(z)) if k != ipq]
     for lab in wall:
         if lab not in f.index:
-            raise FanError(f"{lab} is not a ray label of the fan")
+            raise FanError(f"{shown(lab)} is not a ray label of the fan")
     wall_idx = {f.index[lab] for lab in wall}
     if len(wall_idx) != f.dim - 1:
         raise FanError(f"tau_{p} has {len(wall_idx)} rays, expected {f.dim - 1}")

@@ -8,19 +8,21 @@ walks the cones to each one's relation, and ``batyrev_classify`` reads the
 verdict off their degrees.  Nothing here reads the stage structure of a
 tower: from the package this module imports only the exact elimination
 of ``lattice``, with its refusal text ``shown``, and the verdict types of
-``tower``, so it checks the closed form independently.
+``tower``, so it checks the closed form independently.  The validator's
+unimodularity scan, ``_first_non_unimodular``, is built on that
+elimination here, for the cones of a ``Fan`` alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import IntVec, _next_rows, first_non_unimodular, shown
+from .lattice import IntVec, _next_rows, shown
 from .tower import Classification, Verdict
 
 RayLabel = tuple[int, int]
@@ -54,9 +56,6 @@ class Fan:
         self.rays = rays
         self.labels = labels
         self.max_cones = max_cones
-        self.__post_init__()
-
-    def __post_init__(self):
         for name, value in (("rays", self.rays), ("labels", self.labels), ("max_cones", self.max_cones)):
             if type(value) is not tuple:
                 raise FanError(f"{name} must be a tuple, got {type(value).__name__}")
@@ -140,6 +139,66 @@ class PrimitiveCollectionData(NamedTuple):
         return len(self.members) - sum(self.relation_rhs.values())
 
 
+def _first_non_unimodular(f: Fan, cones: tuple[tuple[int, ...], ...]) -> int | None:
+    """Index of the lowest-indexed of ``cones`` whose rays are not a basis
+    of Z^n, n = ``f.dim``, or None if every cone's rays are.
+
+    ``cones`` is a prefix of ``f.max_cones`` in which every cone has n
+    indices into ``f.rays``, each ray of n entries, as ``Fan`` and the
+    validator check.  One exact elimination of the n x len(f.rays) matrix V
+    whose columns are the rays serves all the cones, taken in the order of
+    their index tuples (a cone's order of rays does not change whether
+    they form a basis).  The cones come in groups that share their first m
+    indices, the prefix, where m = n - 3 for n >= 3 and m = n otherwise.  A
+    stack holds, for k = 0, 1, ..., m, the rows k..n-1 of T_k V, where the
+    integer unimodular row transform T_k (T_0 = I) brings the first k rays
+    of the current prefix to unit upper-triangular form; no later step
+    reads rows 0..k-1.  Each group pops the stack back to the prefix it
+    shares with the group before it and eliminates only its new rays: a
+    ray's y is its column of the top entry, and ``_next_rows`` on it gives
+    the next entry; the prefix's rays form part of a basis iff every such y
+    has gcd 1.  If one does not, every cone of the group fails, and the
+    group's least cone index stands for them.  Otherwise, for n < 3, the
+    prefix is the whole cone, which passes; for n >= 3 each cone of the
+    group needs no more elimination: it is unimodular iff the 3 x 3
+    determinant of its last three rays' columns in the three rows left is
+    +-1.
+    """
+    n = f.dim
+    m = n - 3 if n >= 3 else n
+    order = sorted(range(len(cones)), key=cones.__getitem__)
+    stack = [list(zip(*f.rays))]
+    prev: tuple[int, ...] = ()
+    bad = len(cones)
+    for prefix, group in groupby(order, key=lambda c: cones[c][:m]):
+        k = 0
+        top = len(stack) - 1
+        while k < top and prefix[k] == prev[k]:
+            k += 1
+        del stack[k + 1:]
+        while k < m:
+            rows = list(stack[k])
+            r = prefix[k]
+            p, g = _next_rows(rows, [row[r] for row in rows])
+            if g != 1 and g != -1:
+                break
+            del rows[p]
+            stack.append(rows)
+            k += 1
+        prev = prefix
+        if k < m:
+            bad = min(bad, *group)
+        elif m < n:
+            s0, s1, s2 = stack[m]
+            for c in group:
+                x, y, z = cones[c][m:]
+                d = (s0[x] * (s1[y] * s2[z] - s2[y] * s1[z]) - s1[x] * (s0[y] * s2[z] - s2[y] * s0[z])
+                     + s2[x] * (s0[y] * s1[z] - s1[y] * s0[z]))
+                if d != 1 and d != -1 and c < bad:
+                    bad = c
+    return bad if bad < len(cones) else None
+
+
 def validate_smooth_complete(f: Fan) -> None:
     """Check distinct primitive rays, unimodular maximal cones and two
     cones per facet, naming the first failure.
@@ -147,10 +206,10 @@ def validate_smooth_complete(f: Fan) -> None:
     Rays are checked first, then cones (the lowest-indexed cone that has
     the wrong number of rays or is not unimodular), then facets (in the
     order they first appear).  Unimodularity comes from one exact integer
-    elimination of the ray matrix shared by all the cones, each decided by
-    a 3 x 3 determinant at the end, ``lattice.first_non_unimodular``;
-    facets are counted as ``Fan.cone_masks`` entries with one ray cleared,
-    one dict entry per facet.
+    elimination of the ray matrix shared by all the cones, in dimension 3
+    and up each decided by a 3 x 3 determinant at the end,
+    ``_first_non_unimodular``; facets are counted as ``Fan.cone_masks``
+    entries with one ray cleared, one dict entry per facet.
 
     These are necessary for a smooth complete fan, not sufficient: nothing
     here proves completeness, and a cycle of cones that winds twice round
@@ -166,7 +225,7 @@ def validate_smooth_complete(f: Fan) -> None:
             raise FanError(f"ray u[{shown(lab[0])},{shown(lab[1])}] is not primitive")
     cones = f.max_cones
     sized = next((ci for ci, cone in enumerate(cones) if len(cone) != f.dim), len(cones))
-    bad = first_non_unimodular(f.rays, cones[:sized])
+    bad = _first_non_unimodular(f, cones[:sized])
     if bad is not None:
         raise FanError(f"maximal cone #{bad} is not unimodular")
     if sized < len(cones):
@@ -309,13 +368,13 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     members = frozenset(p)
     for lab in members:
         if lab not in f.index:
-            raise FanError(f"{lab} is not a ray label of the fan")
+            raise FanError(f"{shown(lab)} is not a ray label of the fan")
     idx = [f.index[lab] for lab in members]
     if f.cones_containing(idx):
-        raise FanError(f"{sorted(members)} spans a cone of the fan; not a primitive collection")
+        raise FanError(f"{shown(sorted(members))} spans a cone of the fan; not a primitive collection")
     for d in range(len(idx)):
         if not f.cones_containing(idx[:d] + idx[d + 1:]):
-            raise FanError(f"{sorted(members)} is not minimal; not a primitive collection")
+            raise FanError(f"{shown(sorted(members))} is not minimal; not a primitive collection")
     s = [0] * f.dim
     for lab in members:
         s = [a + b for a, b in zip(s, f.ray(lab))]

@@ -35,13 +35,15 @@ def fraction_det(m) -> int:
 
 
 def tail_determinants(rays, cones) -> list[int | None]:
-    """Per cone, the value that ``lattice.first_non_unimodular`` tests
-    against +-1: the 3 x 3 determinant of the cone's last three columns in
-    the three rows of the ray matrix that ``_next_rows`` leaves after its
-    first n - 3 rays (for n <= 2, the determinant of the cone's own n x n
-    matrix), or None where one of those rays meets a gcd other than 1.
-    Each cone is eliminated on its own, with no prefix shared, so the steps
-    are the same as there; the tail is taken by ``fraction_det``."""
+    """Per cone, the value that ``oracle._first_non_unimodular`` tests
+    against +-1 for n >= 3: the 3 x 3 determinant of the cone's last three
+    columns in the three rows of the ray matrix that ``_next_rows`` leaves
+    after its first n - 3 rays, or None where one of those rays meets a gcd
+    other than 1.  Each cone is eliminated on its own, with no prefix
+    shared, so the steps are the same as there; the tail is taken by
+    ``fraction_det``.  For n <= 2, where the scan has no tail and its
+    elimination runs over the whole cone, this is the determinant of the
+    cone's own n x n matrix, which is +-1 iff that elimination passes."""
     tails: list[int | None] = []
     for cone in cones:
         rows = list(zip(*rays))

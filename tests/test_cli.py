@@ -774,6 +774,22 @@ class TestEnumerate:
         assert code == 2
         assert err == "error: 3^9999 candidates exceed cap 1000000; raise --cap to proceed\n"
 
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_reader_that_stops_early_ends_the_command_quietly(self, fmt):
+        # as under `| head -1`: the reader takes the first bytes and goes, with most of the
+        # 1.7 MB still to write, far past what a pipe holds
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["enumerate", "--stages", "2,2,2,2", "--range=-1:1", "--mode", "weak_fano", "--format", fmt]
+        with subprocess.Popen([sys.executable, "-m", "bottfano.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.read(1)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (first, code, err) == (b"c" if fmt == "human" else b"{", 0, b"")
+
 
 class TestCharyCompare:
     def test_r3(self, capsys):

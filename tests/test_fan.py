@@ -26,7 +26,6 @@ from bottfano import (
 from bottfano import cli
 from bottfano import oracle
 from bottfano.fan import FAN_WORK_LIMIT
-from bottfano import lattice
 from bottfano.lattice import det
 
 from conftest import (
@@ -557,6 +556,20 @@ class TestPrimitiveRelation:
         with pytest.raises(FanError, match="not minimal"):
             primitive_relation(f, frozenset({(1, 0), (1, 1), (2, 0), (2, 1)}))
 
+    @pytest.mark.parametrize("keys, message", [
+        ((0, 2), "a list holding an int of over {L} digits is not minimal; not a primitive collection"),
+        ((0,), "a list holding an int of over {L} digits spans a cone of the fan; not a primitive collection"),
+        ((3,), "a tuple holding an int of over {L} digits is not a ray label of the fan"),
+    ], ids=["not-minimal", "a-cone", "unknown-label"])
+    def test_unprintable_label_shown_in_short(self, int_limit, keys, message):
+        # labels holding 10^5000, of 5,001 digits, on the line with ray 2 in no cone: so {2} is
+        # a non-face and {0, 2} not a minimal one
+        big = 10**5000
+        f = Fan(1, ((1,), (-1,), (2,)), ((big, 0), (big, 1), (big, 2)), ((0,), (1,)))
+        with pytest.raises(FanError) as excinfo:
+            primitive_relation(f, frozenset((big, k) for k in keys))
+        assert str(excinfo.value) == message.format(L=int_limit)
+
     @pytest.mark.parametrize("coeff_bound", [2, 4])
     def test_walk_matches_the_scan_on_random_towers(self, rng, coeff_bound):
         for _ in range(40):
@@ -672,6 +685,23 @@ class TestExpectedPrimitiveRelation:
                     assert (p + q, bpq.index(mn) + 1 if mn else 0) not in pr.relation_rhs
 
 
+@pytest.mark.parametrize("p, message", [
+    (10**5000, "stage index over 10^{L1} out of range 1..2"),
+    (-10**5000, "stage index below -10^{L1} out of range 1..2"),
+    (1.5, "stage index 1.5 is not an int"),
+    (True, "stage index True is not an int"),
+    ("1", "stage index '1' is not an int"),
+], ids=["huge", "huge-negative", "float", "bool", "str"])
+@pytest.mark.parametrize("relation", [
+    lambda t, p: expected_primitive_relation(t, compute_b(t), p),
+    lambda t, p: wall_relation(build_fan(t), t, compute_b(t), p),
+], ids=["expected_primitive_relation", "wall_relation"])
+def test_stage_index_not_an_int_in_range_refused(int_limit, relation, p, message):
+    with pytest.raises(FanError) as excinfo:
+        relation(hirzebruch(1), p)
+    assert str(excinfo.value) == message.format(L1=int_limit - 1)
+
+
 class TestBatyrevClassify:
     def test_worked_fano_example(self):
         assert batyrev_classify(build_fan(fano_4stage())).verdict is Verdict.FANO
@@ -736,14 +766,14 @@ def test_oracle_is_invariant_under_renumbering_and_change_of_basis(rng, monkeypa
     # tower fans of at most 16 rays, each scrambled once; the validator and the classifier
     # then meet Euclid steps with no +-1 in y, and the validator tail determinants of -1
     euclid = tail_minus_one = 0
-    next_rows = lattice._next_rows
+    next_rows = oracle._next_rows
 
     def counting(rows, y):
         nonlocal euclid
         euclid += any(y) and 1 not in y and -1 not in y
         return next_rows(rows, y)
 
-    monkeypatch.setattr(lattice, "_next_rows", counting)
+    monkeypatch.setattr(oracle, "_next_rows", counting)
     for _ in range(200):
         t = random_tower(rng)
         f = build_fan(t)

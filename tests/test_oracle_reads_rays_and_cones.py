@@ -18,11 +18,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bottfano"
 
 #: the definitions of ``lattice.py`` that the oracle uses; the rest serve the closed form
-LATTICE_ORACLE = {"first_non_unimodular", "_next_rows", "shown"}
+LATTICE_ORACLE = {"_next_rows", "shown"}
 
 #: every package import ``oracle.py`` may make, as ``package_imports`` lists them
 ORACLE_IMPORTS = [
-    "lattice: IntVec", "lattice: _next_rows", "lattice: first_non_unimodular", "lattice: shown",
+    "lattice: IntVec", "lattice: _next_rows", "lattice: shown",
     "tower: Classification", "tower: Verdict",
 ]
 
@@ -137,6 +137,5 @@ def test_checker_flags_other_package_imports(snippet):
 
 
 def test_checker_passes_the_allowed_imports():
-    snippet = "from .lattice import IntVec, first_non_unimodular\nfrom .tower import Verdict"
-    assert package_imports(ast.parse(snippet)) == ["lattice: IntVec", "lattice: first_non_unimodular",
-                                                     "tower: Verdict"]
+    snippet = "from .lattice import IntVec, _next_rows\nfrom .tower import Verdict"
+    assert package_imports(ast.parse(snippet)) == ["lattice: IntVec", "lattice: _next_rows", "tower: Verdict"]
