@@ -21,6 +21,7 @@ from itertools import chain
 
 from . import enumeration, fan as fanmod, oracle as oraclemod, tower as towermod
 from .enumeration import FANO_THREE_STAGE_TRIPLES, SweepError, SweepSpec
+from .lattice import shown
 from .oracle import FanError
 from .tower import GeneralizedBottTower, TowerError, Verdict
 
@@ -120,7 +121,7 @@ def _require_printable(numbers) -> None:
         str(max(map(abs, numbers), default=0))
     except ValueError:
         raise TowerError(f"this tower's output would hold an integer of more than "
-                         f"{sys.get_int_max_str_digits()} digits, too long to print") from None
+                         f"{shown(sys.get_int_max_str_digits())} digits, too long to print") from None
 
 
 def cmd_check(args) -> int:
@@ -222,14 +223,14 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError as e:
-        raise UsageError(f"invalid range {text!r}; expected lo:hi") from e
+        raise UsageError(f"invalid range {shown(text)}; expected lo:hi") from e
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError as e:
-        raise UsageError(f"invalid stages {text!r}; expected comma-separated integers") from e
+        raise UsageError(f"invalid stages {shown(text)}; expected comma-separated integers") from e
 
 
 def cmd_enumerate(args) -> int:

@@ -2,8 +2,8 @@
 
 Candidates are the assignments of the coefficient slots (j, l, k), listed
 in ascending lexicographic order by ``coefficient_slots``.  One engine,
-shared by ``sweep`` and ``chary_compare``, decides them by a pruned
-depth-first search over whole coefficient vectors, column l = m-1 down
+shared by ``sweep`` and ``chary_compare``, decides them by a pruned walk
+of pending subtrees over whole coefficient vectors, column l = m-1 down
 to 1, with the closed-form nu-sum criterion, and decides every vector
 from one memo of nu values, local to the search, whose entries list only
 the vectors within the bound; the last two cells, a_{m-1,1} and a_{m,1},
@@ -34,8 +34,8 @@ PRINTABLE_BITS = 10_000
 #: Most coefficient slots a sweep takes, whatever its cap: a range of width 1
 #: has one candidate however many slots it has, but each slot still costs
 #: Python objects and time.  The slowest sweep admitted, chary-compare --r 447
-#: over 0:0 (99,681 slots), takes 0.5-0.7 s and about 75 MB on a 2-core x86-64
-#: host.
+#: over 0:0 (99,681 slots), takes 0.31-0.34 s and about 45 MB peak RSS, as a
+#: whole command, on a 2-core x86-64 host.
 SLOT_WORK_LIMIT = 10**5
 
 #: Coefficient triples (a_{2,1}, a_{3,1}, a_{3,2}) of the Fano 3-stage
@@ -105,7 +105,7 @@ def _check_extent(coeff_range, cap, nslots: int) -> tuple[int, int]:
         raise SweepError(f"{count} candidates exceed cap {shown(cap)}; raise --cap to proceed")
     # a range of width 1 has one candidate however many slots it has
     if nslots > cap:
-        raise SweepError(f"{nslots} coefficient slots exceed cap {cap}; raise --cap to proceed")
+        raise SweepError(f"{shown(nslots)} coefficient slots exceed cap {shown(cap)}; raise --cap to proceed")
     return lo, hi
 
 
@@ -194,6 +194,9 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     nu-sum reads only columns l >= p, and b_{p,q} = a_{p+q,p} + offset
     only the vectors above it in column p and in columns to its right,
     through offset = sum_{r<q} mu(b_{p,r}) a_{p+q,p+r}.  No tower is built.
+    It walks one list of pending subtrees, each a cell d below the vector
+    chosen for cell d - 1; those of cell 1, one per root vector, read
+    nothing from each other.
 
     Every cell is decided from one memo, local to the call: per bound on
     stage p's sum (n_p + 1) and offset seen, the ``_rank`` entry of the
@@ -203,7 +206,7 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     visited, in nu order, down to the cell above the last.
 
     The last two cells, a_{m-1,1} and a_{m,1}, are decided together, with
-    no frame for either.  Nothing later reads the vector v of a_{m-1,1}
+    no subtree below either.  Nothing later reads the vector v of a_{m-1,1}
     but nu(b_{1,m-2}), which adds to stage 1's sum, and mu(b_{1,m-2}),
     which scales a_{m,m-1} into the offset of b_{1,m-1}.  So the last
     cell's entry is looked up once per mu value of the kept v, and for
@@ -235,10 +238,6 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
     at = order.index((m, 1))
     above = at - (m - 2)  # a_{m-1,1}, then (m-1, 2..m-2); at m = 2 all spans are empty
     a: dict[tuple[int, int], tuple[int, ...]] = {}
-    # per cell entered above the pair: indices left into the memo entry, the
-    # entry, partial sum, Fano so far, and the pairs (r, mu(b_{p,r})) with
-    # mu != 0 above the cell in its column
-    frames: list = []
     pair = len(cells) - 2  # cell (m-1, 1), decided with (m, 1)
     n_1, bound_1 = dims[0], dims[0] + slack
     # (bound, offset) -> the _rank entry
@@ -252,19 +251,6 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
             offset = [o + mr * c for o, c in zip(offset, a[(j, p + r)])]
         key = (bound, tuple(offset))
         return memo.get(key) or memo.setdefault(key, _rank(lo, hi, *key))
-
-    def enter(d: int, partial: int, ok: bool, nonzero: tuple) -> None:
-        """Push a frame over the vectors of cell d within the bound, or,
-        if d is the cell above the last, count them with their completions
-        at once."""
-        j, p = cells[d]
-        bound = dims[p - 1] + slack
-        entry = lookup(bound, j, p, nonzero)
-        w = bisect_right(entry[0], bound - partial)
-        if d < pair:
-            frames.append((iter(range(w)), entry, partial, ok, nonzero))
-        else:
-            finish(entry, w, partial, ok, nonzero)
 
     def finish(entry, w: int, partial: int, ok: bool, nonzero: tuple) -> None:
         """Count the Fano and weak Fano completions by a_{m,1} of the first
@@ -294,27 +280,27 @@ def _search(s: SweepSpec, fano_only: bool = False) -> tuple[dict[str, int], list
 
     if pair < 0:  # m = 2: the last cell is the root, below one path of sum 0
         finish(([0], [0], [()]), 1, 0, True, ())
-    else:
-        enter(0, 0, True, ())
-    while frames:
-        d = len(frames) - 1
-        cell = j, p = cells[d]
-        left, (nus, mus, vecs), partial, ok, nonzero = frames[d]
+    # (cell d, the vector of cell d - 1, stage p's partial sum, Fano so far,
+    # the pairs (r, mu(b_{p,r})) with mu != 0 above cell d in its column)
+    pending = [] if pair < 0 else [(0, None, 0, True, ())]
+    while pending:
+        d, v, partial, ok, nonzero = pending.pop()
+        if d:
+            a[cells[d - 1]] = v
+        j, p = cells[d]
         n_p = dims[p - 1]
-        closes = j == m  # b_{p,m-p} completes stage p's sum
-        deeper = d + 1 < pair  # enter pushes a frame for cell d + 1
-        for i in left:
-            a[cell] = vecs[i]
-            total = partial + nus[i]  # + nu(b_{p,q})
-            now_ok = ok and (total <= n_p or not closes)
-            if closes:
-                enter(d + 1, 0, now_ok, ())
-            else:
-                enter(d + 1, total, now_ok, nonzero + ((j - p, mus[i]),) if mus[i] else nonzero)
-            if deeper:
-                break
+        entry = nus, mus, vecs = lookup(n_p + slack, j, p, nonzero)
+        w = bisect_right(nus, n_p + slack - partial)
+        kept = range(w - 1, -1, -1)  # pushed last first, so popped in nu order
+        if d == pair:
+            finish(entry, w, partial, ok, nonzero)
+        elif j == m:  # b_{p,m-p} completes stage p's sum; cell d + 1 starts stage p - 1's
+            for i in kept:
+                pending.append((d + 1, vecs[i], 0, ok and partial + nus[i] <= n_p, ()))
         else:
-            frames.pop()
+            for i in kept:
+                pending.append((d + 1, vecs[i], partial + nus[i], ok,
+                                nonzero + ((j - p, mus[i]),) if mus[i] else nonzero))
     hits.sort()
     # not weak Fano is the rest of the width^slots candidates; each cell holds n_j slots
     counts[not_weak] = (hi - lo + 1) ** sum(dims[j - 1] for j, _ in cells) - counts[fano] - counts[weak]
@@ -334,15 +320,16 @@ def _chary_matrices(r: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     Rows are chosen from the bottom up.  Each is zero, or holds one -1, or
     one +1 at a column q whose row q is zero right of the diagonal (the
     last row always is), and is a candidate only if all its entries lie in
-    lo:hi, zeros included.
+    lo:hi, zeros included; only those rows are built.
     """
-    inside = range(lo, hi + 1)
+    zeros = lo <= 0 <= hi
     tails = [()]  # the rows below the next, top first
     for w in range(1, r):  # the next row has w entries right of the diagonal
         zero = (0,) * w
-        units = [(zero[:c] + (v,) + zero[c + 1:], c if v == 1 else None)
-                 for c in range(w) for v in (-1, 1)]
-        rows = [(row, c) for row, c in [(zero, None), *units] if all(x in inside for x in row)]
+        rows = [(zero, None)] if zeros else []
+        if zeros or w == 1:
+            rows += [(zero[:c] + (v,) + zero[c + 1:], c if v == 1 else None)
+                     for c in range(w) for v in (-1, 1) if lo <= v <= hi]
         # a +1 at entry c needs tail[c], the row of its column, to be zero;
         # entry w - 1 lies in the last column, whose row is empty
         tails = [(row,) + tail for tail in tails for row, c in rows

@@ -125,6 +125,7 @@ def _check_stage(m: int, p: int) -> None:
 
 def collection_for_stage(t: GeneralizedBottTower, p: int) -> frozenset[RayLabel]:
     """The stage-p collection {u_p^0, ..., u_p^{n_p}}."""
+    _check_stage(t.num_stages, p)
     return frozenset((p, k) for k in range(0, t.stage_dims[p - 1] + 1))
 
 
@@ -193,7 +194,7 @@ def wall_relation(
             raise FanError(f"{shown(lab)} is not a ray label of the fan")
     wall_idx = {f.index[lab] for lab in wall}
     if len(wall_idx) != f.dim - 1:
-        raise FanError(f"tau_{p} has {len(wall_idx)} rays, expected {f.dim - 1}")
+        raise FanError(f"tau_{p} has {len(wall_idx)} rays, expected {shown(f.dim - 1)}")
     around = f.cones_containing(wall_idx)
     if around.bit_count() != 2:
         raise FanError(f"tau_{p} lies in {around.bit_count()} maximal cones, expected 2")
@@ -213,7 +214,7 @@ def wall_relation(
         raise FanError(f"internal error: wall relation for tau_{p} does not sum to zero")
     for i in first:
         if i not in wall_idx and coeffs[i] != 1:
-            raise FanError(f"the cones at tau_{p} lie on one side of it: coefficient {coeffs[i]}")
+            raise FanError(f"the cones at tau_{p} lie on one side of it: coefficient {shown(coeffs[i])}")
     if coeffs.get(f.index[(p, 0)], 0) == 0:
         raise FanError(f"wall relation for tau_{p} has zero coefficient on u[{p},0]")
     relation = {f.labels[i]: c for i, c in coeffs.items() if c != 0}

@@ -229,7 +229,7 @@ def validate_smooth_complete(f: Fan) -> None:
     if bad is not None:
         raise FanError(f"maximal cone #{bad} is not unimodular")
     if sized < len(cones):
-        raise FanError(f"maximal cone #{sized} has {len(cones[sized])} rays, expected {f.dim}")
+        raise FanError(f"maximal cone #{sized} has {len(cones[sized])} rays, expected {shown(f.dim)}")
     # every cone has dim rays, so a facet lies in a cone iff it is that cone less one ray
     bits = [1 << i for i in range(len(f.rays))]
     facets = Counter(mask ^ bits[i] for mask, cone in zip(f.cone_masks, cones) for i in cone)
@@ -365,7 +365,10 @@ def primitive_relation(f: Fan, p: frozenset[RayLabel]) -> PrimitiveCollectionDat
     non-unimodular cone on the way raises FanError, even one in which the
     sum has integral coordinates.
     """
-    members = frozenset(p)
+    try:
+        members = frozenset(p)
+    except TypeError:  # not iterable, or holding an unhashable label
+        raise FanError(f"collection {shown(p)} is not a set of ray labels") from None
     for lab in members:
         if lab not in f.index:
             raise FanError(f"{shown(lab)} is not a ray label of the fan")

@@ -156,7 +156,7 @@ def validate(t: GeneralizedBottTower) -> None:
         if len(vec) != nj:
             raise TowerError(
                 f"coefficient vector a[{j},{l}] (coefficients[j={j}][l={l}]) has length "
-                f"{len(vec)}, expected n_{j}={nj}"
+                f"{len(vec)}, expected n_{j}={shown(nj)}"
             )
         for k, c in enumerate(vec, start=1):
             if type(c) is not int:
@@ -175,7 +175,7 @@ def compute_b(t: GeneralizedBottTower) -> dict[tuple[int, int], IntVec]:
     Each b_{p,q} adds only the terms r < q with mu(b_{p,r}) != 0."""
     work = sum(n * comb(j - 1, 2) for j, n in enumerate(t.stage_dims, start=1))
     if work > B_WORK_LIMIT:
-        raise TowerError(f"b-vectors refused: {work} entry updates exceed limit {B_WORK_LIMIT} "
+        raise TowerError(f"b-vectors refused: {shown(work)} entry updates exceed limit {B_WORK_LIMIT} "
                          f"on sum_j n_j*C(j-1,2)")
     m = t.num_stages
     b: dict[tuple[int, int], IntVec] = {}

@@ -394,6 +394,12 @@ class TestEngineMatchesReferenceLoops:
     def test_chary_matrices_match_the_condition(self, r, lo, hi):
         assert enumeration._chary_matrices(r, lo, hi) == reference_chary_matrices(r, lo, hi)
 
+    def test_chary_matrices_of_the_largest_size_admitted(self):
+        # chary-compare --r 447 over 0:0, the most slots the limit admits: only
+        # the zero row is built, where testing all 2w unit rows of each width w
+        # against the range took 30 million steps
+        assert enumeration._chary_matrices(447, 0, 0) == [(0,) * 99_681]
+
     @settings(max_examples=400, deadline=None)
     @given(lo=st.integers(-4, 3), width=st.integers(1, 4), bound=st.integers(0, 6),
            offset=st.lists(st.integers(-5, 5), min_size=1, max_size=4))
@@ -528,16 +534,17 @@ class TestPrunedSearch:
         assert len(calls) <= 36
 
     @staticmethod
-    def count_enters(spec: SweepSpec) -> tuple[int, tuple]:
-        """The calls of ``_search``'s inner ``enter``, seen by a profile
-        hook, and the result of the search."""
-        enter = next(c for c in enumeration._search.__code__.co_consts
-                     if getattr(c, "co_name", None) == "enter")
+    def count_nodes(spec: SweepSpec) -> tuple[int, tuple]:
+        """The calls of ``_search``'s inner ``lookup`` made from ``_search``
+        itself, one per pending subtree it pops (those from ``finish`` are
+        not counted), seen by a profile hook, and the result of the search."""
+        search = enumeration._search.__code__
+        lookup = next(c for c in search.co_consts if getattr(c, "co_name", None) == "lookup")
         calls = 0
 
         def profile(frame, event, arg):
             nonlocal calls
-            if event == "call" and frame.f_code is enter:
+            if event == "call" and frame.f_code is lookup and frame.f_back.f_code is search:
                 calls += 1
 
         previous = sys.getprofile()
@@ -549,14 +556,14 @@ class TestPrunedSearch:
         return calls, result
 
     def test_cell_above_the_last_decided_with_it(self):
-        # one enter call per parent of a_{m-1,1} and a_{m,1}: a frame per kept
-        # vector of a_{m-1,1} made 8,065 calls on the census and 1,131 on the fano sweep
-        calls, (counts, hits) = self.count_enters(SweepSpec((1, 3, 3, 1), (-1, 1), mode="census"))
+        # one node per parent of a_{m-1,1} and a_{m,1}: a node per kept vector
+        # of a_{m-1,1} made 8,065 on the census and 1,131 on the fano sweep
+        calls, (counts, hits) = self.count_nodes(SweepSpec((1, 3, 3, 1), (-1, 1), mode="census"))
         assert counts == {"fano": 1254, "weak_fano_not_fano": 7511, "not_weak_fano": 522_676}
-        assert hits == [] and calls <= 2092
-        calls, (counts, hits) = self.count_enters(SweepSpec((2, 1, 2, 1), (-1, 1), mode="fano"))
+        assert hits == [] and calls == 2092
+        calls, (counts, hits) = self.count_nodes(SweepSpec((2, 1, 2, 1), (-1, 1), mode="fano"))
         assert counts == {"fano": 455, "weak_fano_not_fano": 1527, "not_weak_fano": 4579}
-        assert hits == reference_sweep((2, 1, 2, 1), -1, 1, "fano")[2] and calls <= 197
+        assert hits == reference_sweep((2, 1, 2, 1), -1, 1, "fano")[2] and calls == 197
 
     def test_width_one_range_on_many_stages(self):
         # 4,950 vectors deep: the search keeps its own stack, not Python's

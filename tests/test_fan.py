@@ -166,6 +166,12 @@ class TestValidateSmoothComplete:
             validate_smooth_complete(Fan(len(rays[0]), rays, labels, cones))
         assert str(excinfo.value) == message.format(L=int_limit, L1=int_limit - 1)
 
+    def test_unprintable_dim_shown_in_short(self, int_limit):
+        # a fan of no rays passes Fan whatever its dim, and the validator prints the dim
+        with pytest.raises(FanError) as excinfo:
+            validate_smooth_complete(Fan(10**5000, (), (), ((),)))
+        assert str(excinfo.value) == f"maximal cone #0 has 0 rays, expected over 10^{int_limit - 1}"
+
     def test_cones_with_no_unit_entry_pass(self):
         # the cone {(2,3), (3,5)} has determinant 1 and no entry +-1
         rays = [(1, 0), (1, 1), (2, 3), (3, 5), (1, 2), (0, 1), (-1, 0), (0, -1)]
@@ -570,6 +576,16 @@ class TestPrimitiveRelation:
             primitive_relation(f, frozenset((big, k) for k in keys))
         assert str(excinfo.value) == message.format(L=int_limit)
 
+    @pytest.mark.parametrize("collection, message", [
+        (5, "collection 5 is not a set of ray labels"),
+        ([[1, 0]], "collection [[1, 0]] is not a set of ray labels"),
+        (10**5000, "collection over 10^{L1} is not a set of ray labels"),
+    ], ids=["int", "unhashable-label", "unprintable-int"])
+    def test_collection_not_a_set_of_labels_refused(self, int_limit, collection, message):
+        with pytest.raises(FanError) as excinfo:
+            primitive_relation(build_fan(hirzebruch(0)), collection)
+        assert str(excinfo.value) == message.format(L1=int_limit - 1)
+
     @pytest.mark.parametrize("coeff_bound", [2, 4])
     def test_walk_matches_the_scan_on_random_towers(self, rng, coeff_bound):
         for _ in range(40):
@@ -691,11 +707,14 @@ class TestExpectedPrimitiveRelation:
     (1.5, "stage index 1.5 is not an int"),
     (True, "stage index True is not an int"),
     ("1", "stage index '1' is not an int"),
-], ids=["huge", "huge-negative", "float", "bool", "str"])
+    (0, "stage index 0 out of range 1..2"),
+    (3, "stage index 3 out of range 1..2"),
+], ids=["huge", "huge-negative", "float", "bool", "str", "zero", "past-the-last"])
 @pytest.mark.parametrize("relation", [
     lambda t, p: expected_primitive_relation(t, compute_b(t), p),
     lambda t, p: wall_relation(build_fan(t), t, compute_b(t), p),
-], ids=["expected_primitive_relation", "wall_relation"])
+    collection_for_stage,
+], ids=["expected_primitive_relation", "wall_relation", "collection_for_stage"])
 def test_stage_index_not_an_int_in_range_refused(int_limit, relation, p, message):
     with pytest.raises(FanError) as excinfo:
         relation(hirzebruch(1), p)
@@ -906,6 +925,22 @@ class TestWallRelation:
         with pytest.raises(FanError) as excinfo:
             wall_relation(f, t, compute_b(t), 1)
         assert str(excinfo.value) == "tau_1 has 1 rays, expected 2"
+
+    def test_unprintable_values_shown_in_short(self, int_limit):
+        # tau_1 = {u_2^1}; the cones at it, {u_1^1, u_2^1} and {u_2^1, u_1^0} with
+        # u_1^0 = (10^5000, 1), lie on one side of it, and u_1^1's coefficient is -10^5000
+        t = hirzebruch(0)
+        f = Fan(2, ((1, 0), (0, 1), (10**5000, 1), (0, -1)), ((1, 1), (2, 1), (1, 0), (2, 0)),
+                ((0, 1), (1, 2), (2, 3), (3, 0)))
+        with pytest.raises(FanError) as excinfo:
+            wall_relation(f, t, compute_b(t), 1)
+        assert str(excinfo.value) == (
+            f"the cones at tau_1 lie on one side of it: coefficient below -10^{int_limit - 1}")
+        # tau_1 of a one-stage (1,) tower has no rays; a fan of no rays passes Fan whatever its dim
+        t = make_tower((1,))
+        with pytest.raises(FanError) as excinfo:
+            wall_relation(Fan(10**5000, (), (), ()), t, compute_b(t), 1)
+        assert str(excinfo.value) == f"tau_1 has 0 rays, expected over 10^{int_limit - 1}"
 
     def test_cones_not_differing_by_one_ray_raise(self):
         t = make_tower((2,))

@@ -96,7 +96,9 @@ class TestValidate:
          "coefficients[j=2][l=1][k=1] must be an integer, got a list holding an int of over {L} digits"),
         ((1, 1), {(2, 1): (0,), (10**5000, "1"): (0,)},
          "coefficient key a tuple holding an int of over {L} digits must be a pair of integers (j, l)"),
-    ], ids=["stage", "unexpected-vector", "entry", "key"])
+        ((1, 10**5000), {(2, 1): (0,)},
+         "coefficient vector a[2,1] (coefficients[j=2][l=1]) has length 1, expected n_2=over 10^{L1}"),
+    ], ids=["stage", "unexpected-vector", "entry", "key", "vector-length"])
     def test_unprintable_refusal_value_shown_in_short(self, int_limit, dims, coeffs, message):
         # each value holds 10^5000, of 5,001 digits, which neither str nor repr prints
         with pytest.raises(TowerError) as excinfo:
